@@ -1,8 +1,8 @@
 // Serving-plane microbenchmarks: effect-query throughput (single-user and
-// batched) against a published snapshot, the write-path cost of snapshot
-// publication (ingest with publishing on vs off, CI-gated as a pair), and a
-// mixed read/write soak with a full-tilt reader thread hammering the
-// serving plane while the engine ingests domains.
+// batched) against a published snapshot, and a mixed read/write soak with a
+// full-tilt reader thread hammering the serving plane while the engine
+// ingests domains. Snapshot publication is always on, so its write-path
+// cost is part of BM_StreamEngineIngest.
 //
 // Compiled into the micro_substrates binary (no BENCHMARK_MAIN here).
 #include <benchmark/benchmark.h>
@@ -130,57 +130,6 @@ void BM_EffectQueryBatch(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_EffectQueryBatch)->Arg(16)->Arg(256);
-
-// Ingest with snapshot publication on/off — the serving plane's entire
-// write-path cost (snapshot build + fingerprint + RCU swap per domain).
-// CI-gated as a pair at 1.05x (tools/compare_bench.py --pair), mirroring
-// the guards-on/off pair: machine-independent because both arms share one
-// run's load.
-void StreamEngineIngestServeBody(benchmark::State& state,
-                                 bool publish_snapshots) {
-  const int streams = static_cast<int>(state.range(0));
-  const int kDomains = 2;
-  std::vector<std::vector<data::DataSplit>> domains(streams);
-  for (int s = 0; s < streams; ++s) {
-    Rng rng(140 + s);
-    for (int d = 0; d < kDomains; ++d) {
-      domains[s].push_back(QueryBenchSplit(&rng, 240, 0.8 * d));
-    }
-  }
-  core::CerlConfig config = QueryBenchConfig(0);
-  config.train.async_validation = true;
-
-  stream::StreamEngineOptions options;
-  options.publish_snapshots = publish_snapshots;
-  for (auto _ : state) {
-    stream::StreamEngine engine(options);
-    for (int s = 0; s < streams; ++s) {
-      config.train.seed = 150 + s;
-      const int id = engine.AddStream("bench", config, kFeatures);
-      for (const data::DataSplit& split : domains[s]) {
-        CERL_CHECK(engine.PushDomain(id, split).ok());
-      }
-    }
-    engine.Drain();
-  }
-  state.SetItemsProcessed(state.iterations() * streams * kDomains);
-}
-
-void BM_StreamEngineIngestServe(benchmark::State& state) {
-  StreamEngineIngestServeBody(state, /*publish_snapshots=*/true);
-}
-BENCHMARK(BM_StreamEngineIngestServe)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void BM_StreamEngineIngestNoServe(benchmark::State& state) {
-  StreamEngineIngestServeBody(state, /*publish_snapshots=*/false);
-}
-BENCHMARK(BM_StreamEngineIngestNoServe)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 // Mixed read/write: a full-tilt reader thread issues 16-row batched queries
 // nonstop while the engine ingests 2 domains x 2 streams. Counters report

@@ -419,7 +419,7 @@ core::CerlConfig BenchCerlConfig(uint64_t seed) {
 // rate for the multiplexing win (the engine is bit-identical to serial
 // per-stream, so only scheduling differs). On a single hardware thread the
 // rates match; the concurrency gain needs multicore.
-void StreamEngineIngestBody(benchmark::State& state, bool health_guards) {
+void BM_StreamEngineIngest(benchmark::State& state) {
   const int streams = static_cast<int>(state.range(0));
   const int kDomains = 2;
   const int kUnits = 240;
@@ -438,10 +438,8 @@ void StreamEngineIngestBody(benchmark::State& state, bool health_guards) {
   config.train.async_validation = true;
   config.memory_capacity = 80;
 
-  stream::StreamEngineOptions options;
-  options.health_guards = health_guards;
   for (auto _ : state) {
-    stream::StreamEngine engine(options);
+    stream::StreamEngine engine;
     for (int s = 0; s < streams; ++s) {
       config.train.seed = 50 + s;
       const int id = engine.AddStream("bench", config, kFeatures);
@@ -454,24 +452,6 @@ void StreamEngineIngestBody(benchmark::State& state, bool health_guards) {
   state.SetItemsProcessed(state.iterations() * streams * kDomains);
   state.SetLabel(std::to_string(streams) + "_streams");
 }
-
-void BM_StreamEngineIngest(benchmark::State& state) {
-  StreamEngineIngestBody(state, /*health_guards=*/true);
-}
-
-// Same workload with the fault-isolation plane off: no finite-ness sweep of
-// parameters/memory after each domain, no last-good checkpoint capture.
-// Paired against BM_StreamEngineIngest/4 by the CI gate
-// (tools/compare_bench.py --pair) to keep the guard overhead under a few
-// percent of ingest cost — measured ~1-2% (the sweep and serialize are tiny
-// next to a TrainStage).
-void BM_StreamEngineIngestNoGuards(benchmark::State& state) {
-  StreamEngineIngestBody(state, /*health_guards=*/false);
-}
-BENCHMARK(BM_StreamEngineIngestNoGuards)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 // Checkpoint substrate: in-memory serialize/deserialize of a trained
 // trainer (the per-stream cost inside an engine snapshot) and a full
@@ -538,23 +518,17 @@ BENCHMARK(BM_EngineSnapshotSave);
 
 // The snapshot-fence O(dirty) claim, measured: a 64-tenant engine where 4
 // tenants train new domains between snapshots. serialize_ms (the fence's
-// serialization window, excluding the disk write) is the gated counter.
-// Dirty arm: blob reuse on — retrained tenants refresh their last-good
-// capture on their own worker at domain completion, so the fence appends 64
-// cached blobs without touching any trainer. Full arm: reuse off — the
-// fence re-serializes all 64 trainers, the pre-storage-engine behavior. The
-// CI pair gate holds the dirty arm under 0.20x of the full arm's
-// serialize_ms (the >=5x acceptance target), same-run and
-// machine-independent. Training between saves runs outside the timer.
-void EngineSnapshotFenceBody(benchmark::State& state, bool reuse) {
+// serialization window, excluding the disk write) is the reported counter:
+// retrained tenants refresh their last-good capture on their own worker at
+// domain completion, so the fence appends 64 cached blobs without touching
+// any trainer. Training between saves runs outside the timer.
+void BM_EngineSnapshotDirty(benchmark::State& state) {
   const int kStreams = 64;
   const int kDirty = 4;
   const int kFeatures = 8;
   core::CerlConfig config = BenchCerlConfig(0);
   // A realistically sized model + memory bank: the trainer blob is then the
-  // bulk of the snapshot, which is what separates the arms (the full
-  // rewrite re-serializes and FNV-checksums every tenant's blob; the reuse
-  // arm appends each cached blob with one memcpy).
+  // bulk of the snapshot, appended with one memcpy per unchanged tenant.
   config.net.rep_hidden = {48, 48};
   config.net.rep_dim = 16;
   config.net.head_hidden = {24};
@@ -562,7 +536,6 @@ void EngineSnapshotFenceBody(benchmark::State& state, bool reuse) {
   config.memory_capacity = 200;
   stream::StreamEngineOptions options;
   options.num_workers = 4;
-  options.snapshot_reuse_blobs = reuse;
   stream::StreamEngine engine(options);
   std::vector<Rng> rngs;
   for (int s = 0; s < kStreams; ++s) {
@@ -589,19 +562,9 @@ void EngineSnapshotFenceBody(benchmark::State& state, bool reuse) {
   std::remove(path.c_str());
   state.counters["serialize_ms"] = benchmark::Counter(
       total_serialize_ms / static_cast<double>(state.iterations()));
-  state.SetLabel(reuse ? "blob_reuse" : "full_rewrite");
   state.SetItemsProcessed(state.iterations() * kStreams);
 }
-
-void BM_EngineSnapshotDirty(benchmark::State& state) {
-  EngineSnapshotFenceBody(state, /*reuse=*/true);
-}
 BENCHMARK(BM_EngineSnapshotDirty)->Unit(benchmark::kMillisecond);
-
-void BM_EngineSnapshotFull(benchmark::State& state) {
-  EngineSnapshotFenceBody(state, /*reuse=*/false);
-}
-BENCHMARK(BM_EngineSnapshotFull)->Unit(benchmark::kMillisecond);
 
 // The storage cost of one tenant residency cycle: spill (TenantStore::Put
 // of a real serialized trainer blob through the buffer pool) plus

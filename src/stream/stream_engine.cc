@@ -17,19 +17,6 @@
 
 namespace cerl::stream {
 
-namespace {
-
-// Exponential backoff before retry `attempt` (1-based), capped at 100ms so
-// a misconfigured base can never park a domain for long. The delay is spent
-// on the pool's timer heap, not on a worker.
-int BackoffMs(int base_ms, int attempt) {
-  if (base_ms <= 0) return 0;
-  const int shift = std::min(attempt - 1, 6);
-  return std::min(100, base_ms << shift);
-}
-
-}  // namespace
-
 const char* StreamHealthName(StreamHealth health) {
   switch (health) {
     case StreamHealth::kHealthy: return "healthy";
@@ -78,11 +65,9 @@ void StreamEngine::SetHealth(StreamState* s, StreamHealth health) {
 int StreamEngine::AddStream(std::string name, const core::CerlConfig& config,
                             int input_dim) {
   // Point the stream's micro Sinkhorn solves at the shared cross-stream
-  // batcher. Results are bit-identical either way (fused_micro_solver.h),
-  // so this stays a runtime scheduling knob.
+  // batcher. Results are bit-identical either way (fused_micro_solver.h).
   core::CerlConfig stream_config = config;
-  stream_config.train.sinkhorn.batcher =
-      options_.fuse_micro_solves ? &micro_batcher_ : nullptr;
+  stream_config.train.sinkhorn.batcher = &micro_batcher_;
   // Registration happens under the engine lock: the spill scheduler and WAL
   // compaction iterate streams_ while holding it, and the WAL append below
   // must be ordered against concurrent domain appends.
@@ -152,10 +137,11 @@ void StreamEngine::PushDomainInternal(StreamState* s, data::DataSplit split) {
   auto owned = std::make_unique<PendingDomain>();
   owned->split = std::move(split);
   std::lock_guard<std::mutex> lock(state_mutex_);
-  // Re-log journaled domains from a pre-v4 snapshot into the WAL (they were
-  // accepted by the saved engine and must stay recoverable). Suppressed
-  // during Recover()'s own replay; a failure here cannot reject — the
-  // domain is already admitted — so it degrades to a warning.
+  // Re-log the journal of a snapshot written without a WAL into this
+  // engine's WAL (those domains were accepted by the saved engine and must
+  // stay recoverable). Suppressed during Recover()'s own replay; a failure
+  // here cannot reject — the domain is already admitted — so it degrades to
+  // a warning.
   if (wal_ != nullptr && !wal_replaying_) {
     Status logged = WalLogDomainLocked(*s, s->pushed, owned->split);
     if (!logged.ok()) {
@@ -181,22 +167,20 @@ void StreamEngine::EnqueueLocked(StreamState* s,
   // this push), so the ingest wait can never starve it of a worker.
   // Infinite priority: a validation verdict is microseconds of work that an
   // ingest stage may be blocked on — it must never queue behind stage work.
-  if (options_.validate_on_push) {
-    const int input_dim = s->input_dim;
-    ExecOptions opts;
-    opts.priority = std::numeric_limits<double>::infinity();
-    pool_.Execute([d, input_dim] {
-      Status status = core::CerlTrainer::ValidateDomain(d->split, input_dim);
-      std::lock_guard<std::mutex> lock(d->mutex);
-      d->status = status;
-      d->validated = true;
-      // Notify while holding d->mutex: the moment the ingest waiter can
-      // proceed, the pipeline may run to completion and destroy this
-      // PendingDomain — the held mutex is what keeps `d` alive until the
-      // notify call has returned.
-      d->cv.notify_all();
-    }, opts);
-  }
+  const int input_dim = s->input_dim;
+  ExecOptions opts;
+  opts.priority = std::numeric_limits<double>::infinity();
+  pool_.Execute([d, input_dim] {
+    Status status = core::CerlTrainer::ValidateDomain(d->split, input_dim);
+    std::lock_guard<std::mutex> lock(d->mutex);
+    d->status = status;
+    d->validated = true;
+    // Notify while holding d->mutex: the moment the ingest waiter can
+    // proceed, the pipeline may run to completion and destroy this
+    // PendingDomain — the held mutex is what keeps `d` alive until the
+    // notify call has returned.
+    d->cv.notify_all();
+  }, opts);
   UpdateScheduleLocked(s);
   MaybeDispatchLocked(s);
 }
@@ -244,8 +228,6 @@ void StreamEngine::RunStageTimed(StreamState* s, PendingDomain* d,
 void StreamEngine::SubmitAttemptLocked(StreamState* s) {
   PendingDomain* d = s->in_flight.get();
   StreamState* sp = s;
-  const int input_dim = s->input_dim;
-  const bool validate_inline = !options_.validate_on_push;
   d->stages_done = 0;
 
   // Stage pipeline, serialized per stream by the task group; unrelated
@@ -261,18 +243,14 @@ void StreamEngine::SubmitAttemptLocked(StreamState* s) {
 
   // Ingest: resolve the pre-flight verdict, shed quarantined work, then
   // BeginStage.
-  s->group.Submit([this, sp, d, validate_inline, input_dim] {
+  s->group.Submit([this, sp, d] {
     if (d->attempt == 0) {
       // Resolve the validation rendezvous exactly once (retries reuse the
       // verdict). This must complete before the PendingDomain can be
       // destroyed, even on the shed path below — it is what keeps the
       // free-pool validation task's pointer alive.
-      if (validate_inline) {
-        d->status = core::CerlTrainer::ValidateDomain(d->split, input_dim);
-      } else {
-        std::unique_lock<std::mutex> lock(d->mutex);
-        d->cv.wait(lock, [d] { return d->validated; });
-      }
+      std::unique_lock<std::mutex> lock(d->mutex);
+      d->cv.wait(lock, [d] { return d->validated; });
     }
     {
       // A stream quarantined while this domain sat queued sheds it here,
@@ -318,10 +296,9 @@ void StreamEngine::SubmitAttemptLocked(StreamState* s) {
   // score — the stage trained on garbage.
   s->group.Submit([this, sp, d] {
     if (!d->failure.ok()) return;
-    RunStageTimed(sp, d, StageKind::kTrain, [this, sp, d] {
+    RunStageTimed(sp, d, StageKind::kTrain, [sp, d] {
       sp->trainer.TrainStage(d->ctx.get());
-      if (options_.health_guards &&
-          !std::isfinite(d->ctx->stats.best_valid_loss)) {
+      if (!std::isfinite(d->ctx->stats.best_valid_loss)) {
         throw StatusError(
             Status::NumericalError("non-finite stage validation loss"));
       }
@@ -331,16 +308,14 @@ void StreamEngine::SubmitAttemptLocked(StreamState* s) {
   // Migrate + finish: success bookkeeping or the failure epilogue.
   s->group.Submit([this, sp, d] {
     if (d->failure.ok()) {
-      RunStageTimed(sp, d, StageKind::kMigrate, [this, sp, d] {
+      RunStageTimed(sp, d, StageKind::kMigrate, [sp, d] {
         sp->trainer.MigrateStage(d->ctx.get());
         // Post-migrate guard covers the whole durable state: migration just
         // rewrote the memory bank through phi, so params AND memory
         // representations must be finite before this boundary is declared
         // good.
-        if (options_.health_guards) {
-          Status health = sp->trainer.CheckNumericalHealth();
-          if (!health.ok()) throw StatusError(health);
-        }
+        Status health = sp->trainer.CheckNumericalHealth();
+        if (!health.ok()) throw StatusError(health);
       });
     }
     if (!d->failure.ok()) {
@@ -364,19 +339,15 @@ void StreamEngine::SubmitAttemptLocked(StreamState* s) {
     }
     // Capture the new last-good rollback boundary outside the engine lock
     // (the group serializes all trainer access). Doubles as the snapshot
-    // blob cache when snapshot_reuse_blobs is on, so it is captured under
-    // either option. On the vanishingly unlikely serialize failure the
+    // blob cache. On the vanishingly unlikely serialize failure the
     // previous boundary stays in place — a stale rollback target beats
     // none (and the stale cache is rejected by its stage tag).
     std::string last_good;
     int last_good_stage = -1;
-    if (options_.health_guards || options_.snapshot_reuse_blobs) {
-      Status serialized = sp->trainer.SerializeCheckpoint(&last_good);
-      if (!serialized.ok()) {
-        last_good.clear();
-      } else {
-        last_good_stage = sp->trainer.stages_seen();
-      }
+    if (sp->trainer.SerializeCheckpoint(&last_good).ok()) {
+      last_good_stage = sp->trainer.stages_seen();
+    } else {
+      last_good.clear();
     }
     // Publish the new domain boundary to the serving plane, still outside
     // the engine lock (the group serializes the trainer; readers swap in
@@ -424,7 +395,7 @@ void StreamEngine::HandleFailure(StreamState* sp, PendingDomain* d) {
   const bool trainer_touched = d->ctx != nullptr;
   d->ctx.reset();
 
-  if (!d->terminal && trainer_touched && options_.health_guards) {
+  if (!d->terminal && trainer_touched) {
     // Roll the trainer back to its last-good domain boundary. BeginStage
     // advanced stages_seen_ (and TrainStage may have poisoned parameters),
     // so the restore is what makes a retry replay the IDENTICAL stage:
@@ -447,19 +418,17 @@ void StreamEngine::HandleFailure(StreamState* sp, PendingDomain* d) {
     }
   }
 
-  // Bounded retry (health_guards only: without rollback a replay would run
-  // on a dirty trainer and could not be bit-identical). The backoff is a
-  // DEADLINE requeue, not a sleep: the domain parks on the pool's timer
-  // heap and the worker returns to serving other streams; when the deadline
-  // fires, the attempt is resubmitted onto the stream's (idle) strand. The
-  // domain stays in_flight throughout, so Drain and the snapshot fence keep
-  // waiting it out exactly as before.
-  if (!d->terminal && options_.health_guards &&
-      d->attempt < options_.max_domain_retries) {
+  // Bounded retry on the rolled-back trainer, so the replay is
+  // bit-identical. The backoff is a DEADLINE requeue, not a sleep: the
+  // domain parks on the pool's timer heap and the worker returns to serving
+  // other streams; when the deadline fires, the attempt is resubmitted onto
+  // the stream's (idle) strand. The domain stays in_flight throughout, so
+  // Drain and the snapshot fence keep waiting it out exactly as before.
+  if (!d->terminal && d->attempt < options_.max_domain_retries) {
     const Status failure = d->failure;
     ++d->attempt;
     d->failure = Status::Ok();
-    const int delay_ms = BackoffMs(options_.retry_backoff_ms, d->attempt);
+    const int delay_ms = BackoffMs(d->attempt);
     std::lock_guard<std::mutex> lock(state_mutex_);
     if (sp->health == StreamHealth::kHealthy) {
       SetHealth(sp, StreamHealth::kDegraded);

@@ -92,63 +92,27 @@ struct StreamEngineOptions {
   /// Ready-work ordering across streams. Runtime scheduling choice, not
   /// durable state (snapshots neither save nor restore it).
   SchedulePolicy schedule_policy = SchedulePolicy::kCostAware;
-  /// Run CerlTrainer::ValidateDomain on the shared pool as soon as a domain
-  /// is pushed, overlapping earlier stages; the ingest stage then merely
-  /// checks the verdict. Off = validate inside the ingest stage.
-  bool validate_on_push = true;
-  /// Route each stream's tiny Sinkhorn solves (below
-  /// SinkhornConfig::min_parallel_elements) through the engine's shared
-  /// ot::MicroSolveBatcher, which fuses concurrent same-shape solves from
-  /// different stream workers into one SIMD-lane sweep. Per problem the
-  /// fused solve is bit-identical to the solo path (see
-  /// fused_micro_solver.h), so this is a pure scheduling choice — a runtime
-  /// option, not durable state (snapshots neither save nor restore it).
-  bool fuse_micro_solves = true;
 
   // --- Fault isolation (per-tenant health; see README "Failure model") ---
+  // Numerical health guards run at stage boundaries: a non-finite
+  // validation loss, parameter, or memory representation fails the attempt
+  // and rolls the stream's trainer back to its last-good domain boundary
+  // (in-memory CERLCKP1 blob, captured after every successful domain).
 
-  /// Numerical health guards at stage boundaries: a non-finite validation
-  /// loss, parameter, or memory representation rolls the stream's trainer
-  /// back to its last-good domain boundary (in-memory CERLCKP1 blob,
-  /// captured after every successful domain) and retries the domain. Off =
-  /// no guard scans and no last-good capture; a failed domain then leaves
-  /// the trainer wherever the failure left it (the bench's guards-off
-  /// configuration measures the pure pipeline).
-  bool health_guards = true;
   /// Admission bound: PushDomain returns kResourceExhausted while a
   /// stream's queued (not yet dispatched) domains are at this count.
   /// 0 = unbounded.
   int max_queued_domains = 0;
   /// Failed-domain retries before the domain is dropped. Each retry rolls
-  /// back (health_guards) and replays the identical stage pipeline, so a
-  /// transient fault recovers bit-identically; a deterministic one fails
-  /// again and falls through to the drop.
+  /// back and replays the identical stage pipeline, so a transient fault
+  /// recovers bit-identically; a deterministic one fails again and falls
+  /// through to the drop. Retry r waits 1 ms << (r-1), capped at 100 ms,
+  /// parked on the pool's timer heap (WorkStealingPool::ExecuteAfter) — no
+  /// worker is occupied while the backoff elapses.
   int max_domain_retries = 2;
-  /// Backoff before retry r is retry_backoff_ms << (r-1) milliseconds,
-  /// capped at 100ms. The waiting domain is parked on the pool's timer
-  /// heap (WorkStealingPool::ExecuteAfter) — no worker is occupied while
-  /// the backoff elapses, so under faults every scheduler slot keeps
-  /// serving healthy streams.
-  int retry_backoff_ms = 1;
   /// Consecutive dropped domains after which the stream is quarantined:
   /// its queue is rejected with kUnavailable, as is every later push.
   int quarantine_after_failures = 2;
-  /// SaveSnapshot retries transient WriteFileAtomic failures this many
-  /// times with exponential backoff before reporting the IO error.
-  int snapshot_io_retries = 3;
-  /// Backoff before snapshot-write retry r: snapshot_retry_backoff_ms <<
-  /// (r-1) milliseconds, capped at 100ms.
-  int snapshot_retry_backoff_ms = 1;
-
-  // --- Serving plane (QueryEffect / QueryEffectBatch) -------------------
-
-  /// Publish an immutable serve::EffectSnapshot after every successful
-  /// domain migration (and after LoadSnapshot restores a trained stream),
-  /// making the stream queryable concurrently with training. Off = no
-  /// snapshot builds on the write path (queries return
-  /// kFailedPrecondition); the bench's publish-off configuration isolates
-  /// the serving plane's ingest cost.
-  bool publish_snapshots = true;
 
   // --- Paged tenant-state storage (src/storage/; see README "Storage
   // engine & durability"). Activated by OpenStorage()/Recover(). ----------
@@ -175,11 +139,6 @@ struct StreamEngineOptions {
   /// fsync per accepted domain. Off (default) survives process death only
   /// (the write() completed before PushDomain returned).
   bool wal_fsync = false;
-  /// O(dirty streams) snapshots: streams whose trainer is unchanged since
-  /// the last blob capture re-embed the cached CERLCKP1 blob instead of
-  /// re-serializing. Off = every SaveSnapshot re-serializes every trainer
-  /// (the full-rewrite baseline arm of the snapshot bench).
-  bool snapshot_reuse_blobs = true;
 };
 
 /// Per-stream health (Healthy -> Degraded -> Quarantined). Degraded means
@@ -397,7 +356,7 @@ class StreamEngine {
     int completed_domains = 0;  ///< fully trained+migrated, summed
     int journaled_domains = 0;  ///< queued-but-untrained, summed
     /// Streams whose trainer blob had to be re-serialized at the fence
-    /// (changed since the last capture, or blob caching disabled).
+    /// (changed since the last capture).
     int dirty_streams = 0;
     /// Streams whose blob was reused: memcpy of the cached capture, or a
     /// page-store read for a spilled stream. dirty + reused + untrained
@@ -413,31 +372,28 @@ class StreamEngine {
   /// dispatch, waits for every stream's in-flight domain pipeline to reach
   /// its domain boundary (workers stay up; queued domains stay queued; a
   /// domain mid-retry resolves — succeeds or drops — before the fence),
-  /// writes a CERLENG3 container — engine options, per-stream name / config
-  /// / completed-domain counter / health state (health, consecutive
+  /// writes a CERLENG4 container — per-stream name / config /
+  /// completed-domain counter / health state (health, consecutive
   /// failures, dropped-domain total), learned stage cost rates, each
   /// stream's embedded CERLCKP1 trainer blob, and a replay journal of the
-  /// still-queued domains so pushed work is never lost — then resumes
-  /// dispatch. The write is
-  /// crash-safe (temp file + fsync + atomic rename), carries a checksum,
-  /// and transient IO failures are retried with bounded exponential
-  /// backoff (options.snapshot_io_retries). Concurrent PushDomain is safe:
-  /// a push lands either in the journal or in the resumed queue.
+  /// still-queued domains (elided when a WAL holds them) so pushed work is
+  /// never lost — then resumes dispatch. The write is crash-safe (temp
+  /// file + fsync + atomic rename), carries a checksum, and transient IO
+  /// failures are retried three times with bounded exponential backoff.
+  /// Concurrent PushDomain is safe: a push lands either in the journal or
+  /// in the resumed queue.
   Status SaveSnapshot(const std::string& path, SnapshotInfo* info = nullptr);
 
-  /// Rebuilds a saved engine into THIS engine, which must be freshly
-  /// constructed (no streams registered): re-creates every stream from its
-  /// serialized config, restores each trainer bit-identically (re-seeding
-  /// its last-good rollback blob), restores health/quarantine state, and
-  /// re-enqueues the journaled domains in their original order (training
-  /// resumes immediately on the engine's workers; a quarantined stream's
-  /// journal drains through the pipeline as kUnavailable drops, exactly as
-  /// it would have in the saved engine). Reads CERLENG3 plus the older
-  /// CERLENG2 (predates the cost-model block: streams restore with cold
-  /// cost models and re-learn rates within a few stages) and CERLENG1
-  /// (also predates health state: streams restore as healthy).
-  /// Worker count and validate_on_push stay as THIS engine was constructed
-  /// — they are runtime scheduling choices, not durable state. Per-domain
+  /// Rebuilds a saved CERLENG4 engine into THIS engine, which must be
+  /// freshly constructed (no streams registered): re-creates every stream
+  /// from its serialized config, restores each trainer bit-identically
+  /// (re-seeding its last-good rollback blob), restores health/quarantine
+  /// state and cost-model rates, and re-enqueues the journaled domains in
+  /// their original order (training resumes immediately on the engine's
+  /// workers; a quarantined stream's journal drains through the pipeline
+  /// as kUnavailable drops, exactly as it would have in the saved engine).
+  /// Worker count and scheduling policy stay as THIS engine was
+  /// constructed — they are runtime choices, not durable state. Per-domain
   /// results of the saved engine are not restored (stats are transient
   /// diagnostics); domain indices continue from the saved counters.
   /// All-or-nothing: on any error the engine still has zero streams.
@@ -490,10 +446,11 @@ class StreamEngine {
   StreamState& stream(int id);
   const StreamState& stream(int id) const;
 
-  /// Admission-free push used by LoadSnapshot's journal replay: journaled
-  /// domains were already admitted by the saved engine, so they re-enter
-  /// the queue regardless of queue bounds or quarantine (the pipeline then
-  /// sheds a quarantined stream's domains with kUnavailable).
+  /// Admission-free push used by LoadSnapshot's journal replay and
+  /// Recover's WAL replay: these domains were already admitted by the saved
+  /// engine, so they re-enter the queue regardless of queue bounds or
+  /// quarantine (the pipeline then sheds a quarantined stream's domains
+  /// with kUnavailable).
   void PushDomainInternal(StreamState* s, data::DataSplit split);
 
   /// Queues an admitted domain, kicks off its pre-flight validation, and
@@ -510,8 +467,8 @@ class StreamEngine {
   void SubmitAttemptLocked(StreamState* s);
 
   /// Failure epilogue for the in-flight domain, running on the stream's
-  /// task group: rolls the trainer back to its last-good boundary
-  /// (health_guards), then either requeues the attempt with a backoff
+  /// task group: rolls the trainer back to its last-good boundary, then
+  /// either requeues the attempt with a backoff
   /// deadline (pool timer heap — no worker sleeps) or drops the domain and
   /// advances the health state machine.
   void HandleFailure(StreamState* s, PendingDomain* d);
@@ -524,8 +481,8 @@ class StreamEngine {
   /// Builds and RCU-publishes the stream's next EffectSnapshot from its
   /// trainer. Must run where the trainer is quiescent and externally
   /// serialized: the stream's task group (finish task) or LoadSnapshot's
-  /// single-threaded restore. No-op when options_.publish_snapshots is off
-  /// or the trainer has no model yet. Defined in stream/query_plane.cc.
+  /// single-threaded restore. No-op while the trainer has no model yet.
+  /// Defined in stream/query_plane.cc.
   void PublishSnapshot(StreamState* s);
 
   /// Runs one stage body with wall-time measurement, feeds the observation
@@ -592,9 +549,11 @@ class StreamEngine {
   /// Stream workers (declared before the groups using it). Cost-aware
   /// (priority + stealing) or strict FIFO per options_.schedule_policy.
   WorkStealingPool pool_;
-  /// Cross-stream fused micro-solver (options_.fuse_micro_solves): every
-  /// stream's trainer config points its SinkhornConfig::batcher here.
-  /// Declared before streams_ so it outlives every stage task's solves.
+  /// Cross-stream fused micro-solver: every stream's trainer config points
+  /// its SinkhornConfig::batcher here, so concurrent same-shape tiny
+  /// Sinkhorn solves from different stream workers fuse into one SIMD-lane
+  /// sweep (bit-identical per problem; see fused_micro_solver.h). Declared
+  /// before streams_ so it outlives every stage task's solves.
   ot::MicroSolveBatcher micro_batcher_;
   std::vector<std::unique_ptr<StreamState>> streams_;
 

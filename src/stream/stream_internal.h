@@ -2,6 +2,7 @@
 // (the two halves of StreamEngine). Not part of the public stream API.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -16,6 +17,17 @@
 #include "util/binary_io.h"
 
 namespace cerl::stream {
+
+/// SaveSnapshot retries a transient WriteFileAtomic failure this many times.
+inline constexpr int kSnapshotIoRetries = 3;
+
+// Exponential backoff before retry `attempt` (1-based) of a failed domain or
+// snapshot write: 1 ms << (attempt-1), capped at 100 ms so a retry chain can
+// never park work for long.
+inline int BackoffMs(int attempt) {
+  constexpr int kBaseMs = 1;
+  return std::min(100, kBaseMs << std::min(attempt - 1, 6));
+}
 
 // One pushed domain moving through the stage pipeline. The split must stay
 // address-stable while tasks reference it, so PendingDomains are held by
@@ -98,9 +110,8 @@ struct StreamEngine::StreamState {
   // boundary — the rollback target for health-guard failures AND the
   // snapshot blob cache (O(dirty) snapshots re-embed it instead of
   // re-serializing an unchanged trainer). Captured by the finish task
-  // after every successful domain when health_guards or
-  // snapshot_reuse_blobs is on; read by HandleFailure / the spill task on
-  // the same stream's group (serialized), so access needs no extra lock
+  // after every successful domain; read by HandleFailure / the spill task
+  // on the same stream's group (serialized), so access needs no extra lock
   // beyond state_mutex_ for the capture.
   std::string last_good;
   /// trainer.stages_seen() at the moment last_good was captured; -1 when

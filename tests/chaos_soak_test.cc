@@ -139,7 +139,6 @@ TEST_F(ChaosSoakTest, KOfNFaultedStreamsAreIsolatedBitwise) {
   StreamEngineOptions options;
   options.num_workers = 4;
   options.max_domain_retries = 1;   // fail fast: persistent faults anyway
-  options.retry_backoff_ms = 1;
   options.quarantine_after_failures = 2;
 
   // Fault-free reference run.
@@ -220,7 +219,6 @@ TEST_F(ChaosSoakTest, TransientFaultRecoversBitIdentically) {
   StreamEngineOptions options;
   options.num_workers = 2;
   options.max_domain_retries = 2;
-  options.retry_backoff_ms = 1;
 
   StreamEngine reference(options);
   reference.AddStream("tenant-t", config, kFeatures);
@@ -273,7 +271,6 @@ TEST_F(ChaosSoakTest, MidChaosSnapshotRestoresHealthIntact) {
   StreamEngineOptions options;
   options.num_workers = 2;
   options.max_domain_retries = 1;
-  options.retry_backoff_ms = 1;
   options.quarantine_after_failures = 2;
 
   // Fault-free reference for the healthy tenant only.
@@ -341,7 +338,6 @@ TEST_F(ChaosSoakTest, SinkhornDivergenceIsContained) {
   StreamEngineOptions options;
   options.num_workers = 2;
   options.max_domain_retries = 1;
-  options.retry_backoff_ms = 1;
   options.quarantine_after_failures = 1;  // first drop quarantines
 
   FaultInjector::Global().Arm(FaultPoint::kSinkhornDiverge, "tenant-ot",

@@ -1,4 +1,4 @@
-// Corruption robustness of the CERLCKP1 trainer checkpoint and the CERLENG1
+// Corruption robustness of the CERLCKP1 trainer checkpoint and the CERLENG4
 // engine snapshot: programmatic truncation at EVERY byte offset and byte
 // flips across header/dims/blob regions must all come back as clean Status
 // errors — no crash, no OOM-sized allocation, and no partial mutation of the
@@ -201,18 +201,31 @@ TEST(CheckpointCorruptionTest, TrainerStructuralCorruptionsBehindChecksum) {
 }
 
 // A failed LoadSnapshot leaves the engine with zero streams, so one engine
-// (and its worker threads) is reused across all corruption cases.
-void ExpectEngineRejects(stream::StreamEngine* engine,
-                         const std::string& bytes) {
+// (and its worker threads) is reused across all corruption cases. Returns
+// the rejection so callers can check which validator fired.
+Status ExpectEngineRejects(stream::StreamEngine* engine,
+                           const std::string& bytes) {
   const std::string path = ::testing::TempDir() + "/corrupt_case.snap";
   {
     std::ofstream out(path, std::ios::binary);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
   const Status s = engine->LoadSnapshot(path);
-  ASSERT_FALSE(s.ok());
+  EXPECT_FALSE(s.ok());
   EXPECT_FALSE(s.message().empty());
   EXPECT_EQ(engine->num_streams(), 0);  // all-or-nothing
+  return s;
+}
+
+// CERLENG4 verifies its metadata checksum only after the parse, and the
+// whole-payload hash Refinalized() appends matches no engine container — so
+// a structural case must be rejected by its own validator first. Were that
+// validator deleted, the checksum would still reject the file and hide it.
+void ExpectEngineValidatorRejects(stream::StreamEngine* engine,
+                                  const std::string& bytes) {
+  const Status s = ExpectEngineRejects(engine, bytes);
+  EXPECT_EQ(s.message().find("checksum mismatch"), std::string::npos)
+      << s.ToString();
 }
 
 TEST(CheckpointCorruptionTest, EngineTruncationAtSampledOffsets) {
@@ -255,28 +268,29 @@ TEST(CheckpointCorruptionTest, EngineStructuralCorruptionsBehindChecksum) {
   stream::StreamEngine engine(options);
 
   // Bad magic.
-  ExpectEngineRejects(&engine, Refinalized("Y" + payload.substr(1)));
-  // Absurd stream count (offset 8+4+1+1 = 14: workers u32, validate u8,
+  ExpectEngineValidatorRejects(&engine, Refinalized("Y" + payload.substr(1)));
+  // Absurd stream count (offset 8+4+1+1 = 14: workers u32, reserved u8,
   // backlog-in-wal u8 — the CERLENG4 header).
   {
     std::string p = payload;
     const uint32_t huge = 0x7fffffff;
     std::memcpy(p.data() + 14, &huge, 4);
-    ExpectEngineRejects(&engine, Refinalized(p));
+    ExpectEngineValidatorRejects(&engine, Refinalized(p));
   }
   // Absurd stream-name length (first stream's name_len at offset 18).
   {
     std::string p = payload;
     const uint32_t huge = 0x00ffffff;
     std::memcpy(p.data() + 18, &huge, 4);
-    ExpectEngineRejects(&engine, Refinalized(p));
+    ExpectEngineValidatorRejects(&engine, Refinalized(p));
   }
   // Truncations with recomputed checksums: bounds checks must fire.
   for (size_t len : std::vector<size_t>{16, 30, 200, payload.size() / 2}) {
-    ExpectEngineRejects(&engine, Refinalized(payload.substr(0, len)));
+    ExpectEngineValidatorRejects(&engine, Refinalized(payload.substr(0, len)));
   }
   // Trailing garbage.
-  ExpectEngineRejects(&engine, Refinalized(payload + std::string(5, '\x11')));
+  ExpectEngineValidatorRejects(&engine,
+                               Refinalized(payload + std::string(5, '\x11')));
   // Sanity: the untouched container still loads.
   {
     const std::string path = ::testing::TempDir() + "/corrupt_sane.snap";

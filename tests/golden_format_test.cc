@@ -1,8 +1,8 @@
-// Golden-format compatibility: small CERLCKP1 / CERLENG1 fixtures are
-// committed under tests/testdata/ and every build must keep loading them
+// Golden-format compatibility: small CERLCKP1 / CERLENG4 fixtures and a WAL
+// are committed under tests/testdata/ and every build must keep loading them
 // bit-identically (PredictIte parity against committed hexfloat values).
-// This freezes the on-disk formats — an accidental layout change breaks
-// these tests, not production restores.
+// This freezes every on-disk format the engine writes — an accidental
+// layout change breaks these tests, not production restores.
 //
 // Regenerating (only when the format is INTENTIONALLY revised):
 //   CERL_REGEN_GOLDEN=1 ./build/tests/golden_format_test
@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cerl_trainer.h"
@@ -45,10 +46,17 @@ using linalg::Vector;
 
 constexpr int kGoldenDim = 25;
 constexpr int kProbeRows = 12;
+// golden_expected.txt sections: trainer, engine streams a/b, then the three
+// streams of the WAL fixture.
+constexpr size_t kExpectedSections = 6;
 
 std::string TestDataDir() { return CERL_TESTDATA_DIR; }
 std::string TrainerFixture() { return TestDataDir() + "/golden_trainer.ckpt"; }
 std::string EngineFixture() { return TestDataDir() + "/golden_engine.snap"; }
+std::string WalSnapshotFixture() {
+  return TestDataDir() + "/golden_wal_engine.snap";
+}
+std::string WalFixture() { return TestDataDir() + "/golden_engine.wal"; }
 std::string ExpectedFile() { return TestDataDir() + "/golden_expected.txt"; }
 
 bool RegenRequested() {
@@ -118,7 +126,7 @@ void WriteExpected(const std::vector<Vector>& sections,
   ASSERT_TRUE(written.ok()) << written.ToString();
 }
 
-std::vector<Vector> ReadExpected(size_t num_sections) {
+std::vector<Vector> ReadExpected() {
   std::vector<Vector> sections;
   std::ifstream in(ExpectedFile());
   EXPECT_TRUE(in.good()) << "missing fixture " << ExpectedFile();
@@ -132,8 +140,8 @@ std::vector<Vector> ReadExpected(size_t num_sections) {
     EXPECT_FALSE(sections.empty());
     sections.back().push_back(std::strtod(line.c_str(), nullptr));
   }
-  EXPECT_EQ(sections.size(), num_sections);
-  sections.resize(num_sections);
+  EXPECT_EQ(sections.size(), kExpectedSections);
+  sections.resize(kExpectedSections);
   return sections;
 }
 
@@ -186,20 +194,91 @@ void RegenerateEngineFixture(Vector* expected_a, Vector* expected_b) {
   *expected_b = replay.trainer(1).PredictIte(ProbeInputs());
 }
 
+const char* const kWalStreamNames[] = {"wal-a", "wal-b", "wal-c"};
+
+// Recover() from scratch copies of the WAL fixtures (Recover opens the WAL
+// for append; the committed files must stay untouched), then drain and
+// probe all three streams.
+void RecoverWalFixture(std::vector<Vector>* ites) {
+  const std::string snap = ::testing::TempDir() + "/golden_wal_engine.snap";
+  const std::string wal = ::testing::TempDir() + "/golden_engine.wal";
+  for (const auto& [from, to] : {std::pair{WalSnapshotFixture(), snap},
+                                 std::pair{WalFixture(), wal}}) {
+    Result<std::string> bytes = ReadFileToString(from);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    ASSERT_TRUE(WriteFileAtomic(to, bytes.value()).ok());
+  }
+  stream::StreamEngineOptions options;
+  options.num_workers = 2;
+  options.wal_path = wal;
+  stream::StreamEngine engine(options);
+  Status s = engine.Recover(snap);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_EQ(engine.num_streams(), 3);
+  engine.Drain();
+  const int stages[] = {2, 2, 1};
+  for (int id = 0; id < 3; ++id) {
+    EXPECT_EQ(engine.name(id), kWalStreamNames[id]);
+    EXPECT_EQ(engine.trainer(id).stages_seen(), stages[id]);
+    ites->push_back(engine.trainer(id).PredictIte(ProbeInputs()));
+  }
+}
+
+// Builds the golden WAL-attached engine state. The snapshot lands right
+// after Drain(), so it carries backlog_in_wal = 1, no journal, and no race;
+// compaction then leaves the WAL empty. The WAL tail logs one more domain
+// per stream plus a third stream's registration and first domain, so it
+// holds both record types.
+void RegenerateWalFixture(std::vector<Vector>* expected) {
+  std::remove(WalFixture().c_str());
+  auto splits_a = GoldenStreamData(2, 3004);
+  auto splits_b = GoldenStreamData(2, 3005);
+  auto splits_c = GoldenStreamData(1, 3006);
+  {
+    stream::StreamEngineOptions options;
+    options.num_workers = 2;
+    options.wal_path = WalFixture();
+    stream::StreamEngine engine(options);
+    ASSERT_TRUE(engine.OpenStorage().ok());
+    const int a = engine.AddStream(kWalStreamNames[0], GoldenStreamConfig(43),
+                                   kGoldenDim);
+    const int b = engine.AddStream(kWalStreamNames[1], GoldenStreamConfig(44),
+                                   kGoldenDim);
+    ASSERT_TRUE(engine.PushDomain(a, splits_a[0]).ok());
+    ASSERT_TRUE(engine.PushDomain(b, splits_b[0]).ok());
+    engine.Drain();
+    ASSERT_TRUE(engine.SaveSnapshot(WalSnapshotFixture()).ok());
+    ASSERT_TRUE(engine.PushDomain(a, splits_a[1]).ok());
+    ASSERT_TRUE(engine.PushDomain(b, splits_b[1]).ok());
+    const int c = engine.AddStream(kWalStreamNames[2], GoldenStreamConfig(45),
+                                   kGoldenDim);
+    ASSERT_TRUE(engine.PushDomain(c, splits_c[0]).ok());
+    engine.Drain();
+  }
+  RecoverWalFixture(expected);
+}
+
 TEST(GoldenFormatTest, RegenerateIfRequested) {
   if (!RegenRequested()) return;
   ScalarKernelGuard scalar_guard;
   Vector trainer_ite, engine_a, engine_b;
+  std::vector<Vector> wal_ites;
   RegenerateTrainerFixture(&trainer_ite);
   RegenerateEngineFixture(&engine_a, &engine_b);
-  WriteExpected({trainer_ite, engine_a, engine_b},
+  RegenerateWalFixture(&wal_ites);
+  ASSERT_EQ(wal_ites.size(), 3u);
+  WriteExpected({trainer_ite, engine_a, engine_b, wal_ites[0], wal_ites[1],
+                 wal_ites[2]},
                 {"trainer PredictIte", "engine stream golden-a PredictIte",
-                 "engine stream golden-b PredictIte"});
+                 "engine stream golden-b PredictIte",
+                 "WAL engine stream wal-a PredictIte",
+                 "WAL engine stream wal-b PredictIte",
+                 "WAL engine stream wal-c PredictIte"});
 }
 
 TEST(GoldenFormatTest, TrainerFixtureLoadsBitIdentically) {
   ScalarKernelGuard scalar_guard;
-  const std::vector<Vector> expected = ReadExpected(3);
+  const std::vector<Vector> expected = ReadExpected();
   CerlTrainer trainer(GoldenTrainerConfig(), kGoldenDim);
   Status s = trainer.LoadCheckpoint(TrainerFixture());
   ASSERT_TRUE(s.ok()) << s.ToString();
@@ -210,7 +289,7 @@ TEST(GoldenFormatTest, TrainerFixtureLoadsBitIdentically) {
 
 TEST(GoldenFormatTest, EngineFixtureLoadsAndReplaysBitIdentically) {
   ScalarKernelGuard scalar_guard;
-  const std::vector<Vector> expected = ReadExpected(3);
+  const std::vector<Vector> expected = ReadExpected();
   stream::StreamEngineOptions options;
   options.num_workers = 2;
   stream::StreamEngine engine(options);
@@ -228,6 +307,25 @@ TEST(GoldenFormatTest, EngineFixtureLoadsAndReplaysBitIdentically) {
                 "golden engine stream a");
   ExpectExactly(engine.trainer(1).PredictIte(ProbeInputs()), expected[2],
                 "golden engine stream b");
+}
+
+// Pins the WAL record format (both record types) and the WAL-attached
+// CERLENG4 header: Recover() replays the WAL tail over the snapshot.
+TEST(GoldenFormatTest, WalFixtureRecoversBitIdentically) {
+  ScalarKernelGuard scalar_guard;
+  const std::vector<Vector> expected = ReadExpected();
+  Result<std::string> snap = ReadFileToString(WalSnapshotFixture());
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  ASSERT_GT(snap.value().size(), 14u);
+  EXPECT_EQ(snap.value().substr(0, 8), "CERLENG4");
+  EXPECT_EQ(snap.value()[13], 1) << "backlog_in_wal flag";
+  std::vector<Vector> ites;
+  RecoverWalFixture(&ites);
+  ASSERT_EQ(ites.size(), 3u);
+  for (size_t i = 0; i < ites.size(); ++i) {
+    ExpectExactly(ites[i], expected[3 + i],
+                  std::string("golden WAL stream ") + kWalStreamNames[i]);
+  }
 }
 
 }  // namespace
