@@ -69,7 +69,8 @@ int Run(const Flags& flags) {
     // Paper: M = 10000 with 10000 units/domain. With a 60% train split that
     // budget never forces a reduction on a 2-domain stream, which would make
     // the herding ablation vacuous; use half a domain so the memory is
-    // genuinely under pressure (see EXPERIMENTS.md).
+    // genuinely under pressure. The sweep over M is the paper-fidelity item
+    // in ROADMAP.md.
     base.memory_capacity = data_config.units_per_domain / 2;
 
     std::vector<MethodRow> rows = RunStrategyRows(splits, strat);

@@ -51,7 +51,8 @@ int main() {
     int id = 0;
     std::vector<data::DataSplit> domains;
   };
-  std::vector<Tenant> tenants = {{"tenant-a", 500, 11}, {"tenant-b", 350, 23}};
+  std::vector<Tenant> tenants = {{"tenant-a", 500, 11, 0, {}},
+                                 {"tenant-b", 350, 23, 0, {}}};
 
   data::SyntheticConfig dgp;
   dgp.num_domains = 3;

@@ -157,13 +157,13 @@ TrainStats CfrModel::RunTraining(const data::CausalDataset& train,
 
   // Eq. 5 per-batch objective: factual MSE + alpha * IPM + lambda *
   // elastic net. The loop mechanics live in train::TrainLoop, which also
-  // assembles (and prefetches) the covariate rows; the loss only gathers
-  // the per-unit treatment/outcome scalars into step-reused buffers. The
-  // factual-split scratch and the Sinkhorn workspaces live here, next to
-  // the loop's persistent tapes, so steady-state steps allocate nothing in
-  // the loss builder; the workspaces are pooled by the (n_treated,
-  // n_control) split so the OT duals warm-start from the previous batch
-  // with the same split even when splits interleave.
+  // assembles the covariate rows; the loss only gathers the per-unit
+  // treatment/outcome scalars into step-reused buffers. The factual-split
+  // scratch and the Sinkhorn workspaces live here, next to the loop's
+  // persistent tapes, so steady-state steps allocate nothing in the batch
+  // loss; the workspaces are pooled by the (n_treated, n_control) split so
+  // the OT duals warm-start from the previous batch with the same split
+  // even when splits interleave.
   std::vector<int> batch_t;
   linalg::Vector batch_y;
   FactualScratch factual_scratch;

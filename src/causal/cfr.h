@@ -79,8 +79,8 @@ FactualForward BuildFactualLoss(RepOutcomeNet* net, Tape* tape, Var x_scaled,
 
 /// Gathers elements `idx` of (t, y) into caller-owned buffers (resized as
 /// needed, reused across steps). This is the scalar half of batch assembly;
-/// covariate-row gathers are owned — and prefetched — by train::TrainLoop
-/// via its gather-source machinery.
+/// covariate-row gathers are owned by train::TrainLoop via its gather-source
+/// machinery.
 void GatherTreatOutcome(const std::vector<int>& t, const linalg::Vector& y,
                         train::IndexSpan idx, std::vector<int>* t_out,
                         linalg::Vector* y_out);

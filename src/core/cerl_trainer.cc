@@ -306,9 +306,9 @@ TrainStats CerlTrainer::TrainContinualStage(StageContext* ctx) {
     return StageValidLoss(&net, &phi, *ctx);
   };
   // Eq. 9 per-batch objective; the epoch/minibatch/early-stopping mechanics
-  // live in train::TrainLoop, which assembles (and prefetches) the row
-  // gathers of x_train and old_reps_train. Scalar/memory gathers and the
-  // factual/memory split land in step-reused scratch, and the Sinkhorn
+  // live in train::TrainLoop, which assembles the row gathers of x_train
+  // and old_reps_train. Scalar/memory gathers and the factual/memory split
+  // land in step-reused scratch, and the Sinkhorn
   // workspaces (owned here, next to the loop's persistent tapes, pooled by
   // the global treated/control split) warm-start the balancing duals from
   // the previous step with the same split.

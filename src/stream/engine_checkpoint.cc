@@ -579,9 +579,6 @@ Status StreamEngine::LoadSnapshot(const std::string& path) {
     }
     core::CerlConfig config;
     CERL_RETURN_IF_ERROR(snapfmt::ReadConfig(&r, &config));
-    // The batcher pointer is runtime scheduling state, never serialized:
-    // re-wire it exactly as AddStream does.
-    config.train.sinkhorn.batcher = &micro_batcher_;
     uint32_t completed = 0;
     CERL_RETURN_IF_ERROR(r.ReadPod(&completed, "completed domains"));
     // Lands in StreamState::pushed (an int): cap so a corrupt counter cannot

@@ -64,16 +64,12 @@ void StreamEngine::SetHealth(StreamState* s, StreamHealth health) {
 
 int StreamEngine::AddStream(std::string name, const core::CerlConfig& config,
                             int input_dim) {
-  // Point the stream's micro Sinkhorn solves at the shared cross-stream
-  // batcher. Results are bit-identical either way (fused_micro_solver.h).
-  core::CerlConfig stream_config = config;
-  stream_config.train.sinkhorn.batcher = &micro_batcher_;
   // Registration happens under the engine lock: the spill scheduler and WAL
   // compaction iterate streams_ while holding it, and the WAL append below
   // must be ordered against concurrent domain appends.
   std::lock_guard<std::mutex> lock(state_mutex_);
   streams_.push_back(std::make_unique<StreamState>(
-      std::move(name), stream_config, input_dim, &pool_));
+      std::move(name), config, input_dim, &pool_));
   const int id = num_streams() - 1;
   // Home worker by round-robin over the stream id: streams spread evenly,
   // and the assignment is deterministic so the steal tests can pin it.

@@ -55,7 +55,6 @@
 #include "causal/metrics.h"
 #include "core/cerl_trainer.h"
 #include "data/dataset.h"
-#include "ot/fused_micro_solver.h"
 #include "serve/batch_predictor.h"
 #include "serve/effect_snapshot.h"
 #include "stream/cost_model.h"
@@ -549,12 +548,6 @@ class StreamEngine {
   /// Stream workers (declared before the groups using it). Cost-aware
   /// (priority + stealing) or strict FIFO per options_.schedule_policy.
   WorkStealingPool pool_;
-  /// Cross-stream fused micro-solver: every stream's trainer config points
-  /// its SinkhornConfig::batcher here, so concurrent same-shape tiny
-  /// Sinkhorn solves from different stream workers fuse into one SIMD-lane
-  /// sweep (bit-identical per problem; see fused_micro_solver.h). Declared
-  /// before streams_ so it outlives every stage task's solves.
-  ot::MicroSolveBatcher micro_batcher_;
   std::vector<std::unique_ptr<StreamState>> streams_;
 
   /// Guards stream queues / in-flight flags / results / health and the

@@ -17,11 +17,8 @@
 // re-recorded each step, so after the first epoch no tape-node Matrix is
 // allocated. Batch indices are passed as a span of the epoch permutation
 // (no per-step index vector). When the caller registers gather sources,
-// the loop assembles each batch's row-gathers itself and — by default —
-// prefetches batch k+1 on a dedicated util::ThreadPool worker while batch
-// k runs its forward/backward, double-buffering the gathered matrices.
-// Gathers are pure row copies, so the pipelined path is bit-identical to
-// the serial one.
+// the loop assembles each batch's row-gathers itself, inline on the calling
+// thread, into matrices reused from step to step.
 //
 // Validation can also come off the training thread: with
 // EnableAsyncValidation the loop snapshots the parameters after the last
@@ -77,7 +74,6 @@ struct LoopOptions {
   int patience = 15;             ///< early-stopping patience (epochs)
   double min_improvement = 1e-6; ///< required drop in valid loss to count
   uint64_t seed = 1234;          ///< shuffle seed when no Rng* is supplied
-  bool pipeline_assembly = true; ///< overlap batch k+1 gathers with batch k
   bool verbose = false;
   int log_every = 10;            ///< epochs between verbose log lines
   std::string log_label = "train";
@@ -107,9 +103,9 @@ void RestoreValues(const std::vector<Parameter*>& params,
 using BatchLossFn = std::function<Var(Tape* tape, IndexSpan batch)>;
 
 /// Loss builder for the assembled-minibatch path: `gathered[s]` holds the
-/// batch's rows of the s-th registered gather source, assembled (and
-/// possibly prefetched) by the loop. The matrices are stable for the whole
-/// step, so Tape::ConstantView may alias them.
+/// batch's rows of the s-th registered gather source, assembled by the
+/// loop. The matrices are stable for the whole step, so Tape::ConstantView
+/// may alias them.
 using GatheredBatchLossFn = std::function<Var(
     Tape* tape, IndexSpan batch,
     const std::vector<linalg::Matrix>& gathered)>;
@@ -155,8 +151,7 @@ class TrainLoop {
 
   /// Assembled-minibatch variant: for each batch the loop gathers the
   /// batch's rows of every matrix in `gather_sources` (all must have `n`
-  /// rows) and hands them to `batch_loss`. With pipeline_assembly the next
-  /// batch's gathers overlap the current batch's backward pass.
+  /// rows) and hands them to `batch_loss`.
   TrainStats Run(int n,
                  const std::vector<const linalg::Matrix*>& gather_sources,
                  const GatheredBatchLossFn& batch_loss,

@@ -1,14 +1,13 @@
 // Tests for the shared mini-batch training engine: early-stopping snapshot
-// restore, patience accounting, and full per-epoch sample coverage
-// including the tail batch (regression: the pre-extraction loops dropped
-// up to batch_size-1 samples per epoch).
+// restore, patience accounting, full per-epoch sample coverage including
+// the tail batch (regression: the pre-extraction loops dropped up to
+// batch_size-1 samples per epoch), and gathered-row minibatch assembly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <numeric>
 #include <vector>
 
-#include "autodiff/composite.h"
 #include "autodiff/ops.h"
 #include "train/train_loop.h"
 
@@ -154,89 +153,45 @@ TEST(TrainLoopTest, ConvergesOnQuadratic) {
   EXPECT_NEAR(w.value(0, 0), 0.0, 1e-2);
 }
 
-// The assembled-minibatch path must hand the loss the correct rows and be
-// bit-deterministic: pipelined (prefetching) assembly produces exactly the
-// same final parameters as serial assembly for a fixed seed.
+// The assembled-minibatch path must hand the loss exactly the batch's rows
+// of every registered gather source (sources of different widths, gathered
+// into one matrix each), including the short tail batch (n = 23, batch 4),
+// after which the next epoch's full batches refill the same matrices.
 TEST(TrainLoopAssemblyTest, GatheredRowsMatchBatchIndices) {
-  const int n = 23, d = 5;
-  linalg::Matrix x(n, d);
-  for (int r = 0; r < n; ++r)
-    for (int c = 0; c < d; ++c) x(r, c) = 100.0 * r + c;
+  const int n = 23, dx = 5, dy = 2;
+  linalg::Matrix x(n, dx), y(n, dy);
+  for (int r = 0; r < n; ++r) {
+    for (int c = 0; c < dx; ++c) x(r, c) = 100.0 * r + c;
+    for (int c = 0; c < dy; ++c) y(r, c) = -1000.0 * r - c;
+  }
+  const linalg::Matrix* sources[] = {&x, &y};
   Parameter w(linalg::Matrix(1, 1, 1.0), "w");
   LoopOptions options;
   options.epochs = 3;
   options.batch_size = 4;
   options.patience = 100;
 
+  int steps = 0;
   TrainLoop loop(options, {&w});
   loop.Run(
-      n, {&x},
+      n, {&x, &y},
       [&](Tape* tape, IndexSpan idx,
           const std::vector<linalg::Matrix>& gathered) {
-        EXPECT_EQ(gathered.size(), 1u);
-        EXPECT_EQ(gathered[0].rows(), idx.size());
-        EXPECT_EQ(gathered[0].cols(), d);
-        for (int i = 0; i < idx.size(); ++i)
-          for (int c = 0; c < d; ++c)
-            EXPECT_DOUBLE_EQ(gathered[0](i, c), x(idx[i], c));
+        ++steps;
+        EXPECT_EQ(gathered.size(), 2u);
+        for (size_t s = 0; s < gathered.size() && s < 2; ++s) {
+          const linalg::Matrix& src = *sources[s];
+          EXPECT_EQ(gathered[s].rows(), idx.size()) << "source " << s;
+          EXPECT_EQ(gathered[s].cols(), src.cols()) << "source " << s;
+          for (int i = 0; i < idx.size(); ++i)
+            for (int c = 0; c < src.cols(); ++c)
+              EXPECT_EQ(gathered[s](i, c), src(idx[i], c))
+                  << "source " << s << " row " << i;
+        }
         return QuadraticLoss(tape, &w);
       },
       [&]() { return 1.0; });
-}
-
-TEST(TrainLoopAssemblyTest, PipelinedAssemblyMatchesSerialBitExactly) {
-  const int n = 53, d = 7;  // odd n: exercises the tail batch every epoch
-  auto train_once = [&](bool pipelined) {
-    Rng data_rng(99);
-    linalg::Matrix x(n, d), y(n, 1);
-    for (int64_t i = 0; i < x.size(); ++i) x.data()[i] = data_rng.Normal();
-    for (int64_t i = 0; i < y.size(); ++i) y.data()[i] = data_rng.Normal();
-    Parameter w(linalg::Matrix(d, 1, 0.1), "w");
-    Parameter b(linalg::Matrix(1, 1, 0.0), "b");
-    LoopOptions options;
-    options.epochs = 5;
-    options.batch_size = 8;
-    options.patience = 100;
-    options.seed = 4242;
-    options.pipeline_assembly = pipelined;
-
-    TrainLoop loop(options, {&w, &b});
-    loop.Run(
-        n, {&x, &y},
-        [&](Tape* tape, IndexSpan idx,
-            const std::vector<linalg::Matrix>& gathered) {
-          Var xb = tape->ConstantView(&gathered[0]);
-          Var pred = autodiff::MatMul(xb, tape->Param(&w));
-          Var shifted = autodiff::AddRowBroadcast(pred, tape->Param(&b));
-          (void)idx;
-          return autodiff::MseLoss(shifted, tape->ConstantView(&gathered[1]));
-        },
-        // Constant validation keeps the initial snapshot; compare the LIVE
-        // parameters via a final improving epoch instead: use the true loss
-        // so the most-trained iterate is restored.
-        [&]() {
-          double s = 0.0;
-          for (int r = 0; r < n; ++r) {
-            double p = b.value(0, 0);
-            for (int c = 0; c < d; ++c) p += x(r, c) * w.value(c, 0);
-            const double e = p - y(r, 0);
-            s += e * e;
-          }
-          return s / n;
-        });
-    std::vector<double> out;
-    for (int64_t i = 0; i < w.value.size(); ++i)
-      out.push_back(w.value.data()[i]);
-    out.push_back(b.value(0, 0));
-    return out;
-  };
-
-  const std::vector<double> serial = train_once(false);
-  const std::vector<double> pipelined = train_once(true);
-  ASSERT_EQ(serial.size(), pipelined.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i], pipelined[i]) << "param element " << i;
-  }
+  EXPECT_EQ(steps, 3 * 6);  // five full batches + the tail, per epoch
 }
 
 TEST(TrainLoopSnapshotTest, SnapshotRestoreRoundTrips) {
