@@ -150,7 +150,6 @@ void BM_EffectQueryMixed(benchmark::State& state) {
     }
   }
   core::CerlConfig config = QueryBenchConfig(0);
-  config.train.async_validation = false;
 
   Rng qrng(161);
   linalg::Matrix qx(16, kFeatures);

@@ -381,7 +381,6 @@ void BM_StreamEngineIngest(benchmark::State& state) {
   }
 
   core::CerlConfig config = BenchCerlConfig(0);
-  config.train.async_validation = true;
   config.memory_capacity = 80;
 
   for (auto _ : state) {

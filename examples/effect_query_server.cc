@@ -35,7 +35,6 @@ core::CerlConfig TenantConfig(uint64_t seed) {
   config.train.batch_size = 64;
   config.train.patience = 20;
   config.train.seed = seed;
-  config.train.async_validation = true;
   config.memory_capacity = 150;
   return config;
 }

@@ -96,8 +96,7 @@ class CerlTrainer {
   std::unique_ptr<StageContext> BeginStage(const data::DataSplit& split);
 
   /// Train + validate: optimizes the stage objective with the shared
-  /// engine loop (asynchronous validation when
-  /// config.train.async_validation).
+  /// engine loop, validating on the calling thread after each epoch.
   causal::TrainStats TrainStage(StageContext* ctx);
 
   /// Herd/migrate: M_d = Herding({R_d, Y_d, T_d} ∪ phi(M_{d-1})).
@@ -158,8 +157,7 @@ class CerlTrainer {
  private:
   causal::TrainStats TrainContinualStage(StageContext* ctx);
   void SeedMemoryFromCurrent(const data::CausalDataset& train);
-  double StageValidLoss(causal::RepOutcomeNet* net, TransformNet* phi,
-                        const StageContext& ctx);
+  double StageValidLoss(const StageContext& ctx);
 
   CerlConfig config_;
   int input_dim_;
@@ -193,11 +191,6 @@ struct CerlTrainer::StageContext {
   Rng loop_rng{0};  ///< shuffles + memory-replay sampling for this stage
   bool use_memory = false;
   int mem_batch = 0;
-
-  // Async-validation clones: parameter snapshots are written into these and
-  // scored off-thread while the live net/phi keep training.
-  std::unique_ptr<causal::RepOutcomeNet> valid_net;
-  std::unique_ptr<TransformNet> valid_phi;
 
   causal::TrainStats stats;  ///< filled by TrainStage
 };

@@ -83,9 +83,9 @@ class Matrix {
   Matrix GatherRows(const std::vector<int>& indices) const;
   Matrix GatherRows(const int* indices, int n) const;
 
-  /// Gathers rows into `out`, reusing its storage when the shape already
-  /// matches (the zero-allocation path for minibatch assembly). Row copies
-  /// are parallelized across the global thread pool for large gathers.
+  /// Gathers rows into `out`, resized to n x cols() (Resize keeps the
+  /// capacity, so alternating full and tail minibatch shapes allocate
+  /// nothing once the largest has been seen).
   void GatherRowsInto(const int* indices, int n, Matrix* out) const;
 
   /// Reshapes to rows x cols in place. The heap buffer is reused whenever

@@ -8,9 +8,8 @@
 // scalar table, otherwise CPUID picks the AVX2/FMA table when both the
 // build and the CPU support it, with the scalar table as the fallback.
 // Resolution is a pure function of the environment and the CPU, so a given
-// build is deterministic run-to-run (and a given kernel set is
-// deterministic across thread-pool splits: every kernel reduces in a fixed
-// order).
+// build is deterministic run-to-run (and every kernel reduces in a fixed
+// order, so a given kernel set is also deterministic across range splits).
 //
 // Numerics contract, kernel by kernel:
 //  - vec_exp is POSITION-UNIFORM: element i's result depends only on in[i],
@@ -96,10 +95,10 @@ struct KernelSet {
   // Each output element is independent and computed either with PLAIN mul /
   // add / div / compare-select (individually rounded IEEE ops) or with a
   // correctly-rounded std::fma — both choices make results bitwise
-  // identical in BOTH tables and independent of any ParallelFor range
-  // split. These carry the training path's elementwise traffic: the
-  // Sinkhorn K^T u accumulation, gradient accumulation, and the activation
-  // backward passes.
+  // identical in BOTH tables and independent of any range split. These
+  // carry the training path's elementwise traffic: the Sinkhorn K^T u
+  // accumulation, gradient accumulation, and the activation backward
+  // passes.
 
   /// y[i] += x[i] for i in [0, n).
   void (*vec_accum)(const double* x, double* y, int64_t n);

@@ -213,12 +213,15 @@ void WriteConfig(std::string* out, const core::CerlConfig& c) {
   WritePod(out, static_cast<int32_t>(c.train.sinkhorn.max_iterations));
   WritePod(out, c.train.sinkhorn.tolerance);
   WritePod(out, static_cast<uint8_t>(c.train.sinkhorn.warm_start ? 1 : 0));
-  WritePod(out, static_cast<uint8_t>(c.train.sinkhorn.parallel ? 1 : 0));
-  WritePod(out,
-           static_cast<int64_t>(c.train.sinkhorn.min_parallel_elements));
+  // Reserved: three retired fields keep their slots, written as their old
+  // defaults so the layout does not change — sinkhorn.parallel (u8 1),
+  // sinkhorn.min_parallel_elements (i64 4096) and, after verbose,
+  // async_validation (u8 0). ReadConfig reads and ignores them.
+  WritePod(out, uint8_t{1});
+  WritePod(out, int64_t{4096});
   WritePod(out, static_cast<uint64_t>(c.train.seed));
   WritePod(out, static_cast<uint8_t>(c.train.verbose ? 1 : 0));
-  WritePod(out, static_cast<uint8_t>(c.train.async_validation ? 1 : 0));
+  WritePod(out, uint8_t{0});
 
   WritePod(out, c.beta);
   WritePod(out, c.delta);
@@ -272,16 +275,14 @@ Status ReadConfig(BoundedReader* r, core::CerlConfig* c) {
   CERL_RETURN_IF_ERROR(r->ReadPod(&c->train.sinkhorn.tolerance, "tolerance"));
   CERL_RETURN_IF_ERROR(
       ReadBool(r, &c->train.sinkhorn.warm_start, "warm_start"));
-  CERL_RETURN_IF_ERROR(ReadBool(r, &c->train.sinkhorn.parallel, "parallel"));
-  int64_t i64 = 0;
-  CERL_RETURN_IF_ERROR(r->ReadPod(&i64, "min_parallel_elements"));
-  c->train.sinkhorn.min_parallel_elements = i64;
+  int64_t reserved_i64 = 0;
+  CERL_RETURN_IF_ERROR(r->ReadPod(&u8, "reserved sinkhorn flag"));
+  CERL_RETURN_IF_ERROR(r->ReadPod(&reserved_i64, "reserved sinkhorn size"));
   uint64_t seed = 0;
   CERL_RETURN_IF_ERROR(r->ReadPod(&seed, "seed"));
   c->train.seed = seed;
   CERL_RETURN_IF_ERROR(ReadBool(r, &c->train.verbose, "verbose"));
-  CERL_RETURN_IF_ERROR(
-      ReadBool(r, &c->train.async_validation, "async_validation"));
+  CERL_RETURN_IF_ERROR(r->ReadPod(&u8, "reserved validation flag"));
 
   CERL_RETURN_IF_ERROR(r->ReadPod(&c->beta, "beta"));
   CERL_RETURN_IF_ERROR(r->ReadPod(&c->delta, "delta"));

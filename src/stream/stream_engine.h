@@ -18,11 +18,11 @@
 //    overlaps stream B's training on different workers;
 //  - within a stream, pre-flight validation of queued domains overlaps the
 //    current stage's training (it is pure and runs as a free pool task the
-//    moment the domain is pushed), and TrainStage itself overlaps the
-//    early-stopping validation pass with the next epoch's batches when
-//    config.train.async_validation is set. The algorithmic chain
-//    train(d) -> migrate(d) -> train(d+1) is inherently sequential (stage
-//    d+1 replays the memory M_d), so it stays serialized by the TaskGroup.
+//    moment the domain is pushed). Each stage's kernels, optimizer steps
+//    and early-stopping validation run on the worker that trains it. The
+//    algorithmic chain train(d) -> migrate(d) -> train(d+1) is inherently
+//    sequential (stage d+1 replays the memory M_d), so it stays serialized
+//    by the TaskGroup.
 //
 // Scheduling (SchedulePolicy::kCostAware, the default): ready stage work is
 // ordered longest-expected-queue-first — each stream's strand carries a
@@ -39,8 +39,8 @@
 // Determinism: a stream's results depend only on its own config/seed and
 // pushed domains. One stream through the engine is bit-identical to calling
 // CerlTrainer::ObserveDomain serially, and each of N concurrent streams is
-// bit-identical to running it alone — the shared-pool kernels reduce in a
-// fixed order, all per-stream RNG streams live in the trainer/context, and
+// bit-identical to running it alone — the kernels reduce in a fixed order,
+// all per-stream RNG streams live in the trainer/context, and
 // stage serialization (TaskGroup) carries the cross-worker memory fences.
 // Both properties are asserted by tests/stream_engine_test.cc.
 #pragma once
@@ -85,8 +85,8 @@ enum class SchedulePolicy : uint8_t {
 };
 
 struct StreamEngineOptions {
-  /// Stream workers (the pool running stage tasks; compute kernels inside a
-  /// stage fan out to the global pool as usual). 0 = hardware concurrency.
+  /// Stream workers (the pool running stage tasks; each stage's kernels run
+  /// on the worker that trains it). 0 = hardware concurrency.
   int num_workers = 0;
   /// Ready-work ordering across streams. Runtime scheduling choice, not
   /// durable state (snapshots neither save nor restore it).

@@ -68,7 +68,7 @@ struct StreamEngine::PendingDomain {
 
 struct StreamEngine::StreamState {
   StreamState(std::string stream_name, const core::CerlConfig& config,
-              int input_dim, Executor* pool)
+              int input_dim, WorkStealingPool* pool)
       : name(std::move(stream_name)),
         input_dim(input_dim),
         trainer(config, input_dim),

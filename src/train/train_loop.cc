@@ -10,7 +10,6 @@
 #include "util/status.h"
 #include "util/keyed_pool.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace cerl::train {
@@ -42,10 +41,6 @@ TrainLoop::TrainLoop(const LoopOptions& options,
       params_(std::move(params)),
       external_rng_(rng),
       owned_rng_(options.seed) {}
-
-void TrainLoop::EnableAsyncValidation(SnapshotValidLossFn fn) {
-  async_valid_fn_ = std::move(fn);
-}
 
 void TrainLoop::SetBatchShapeKey(BatchShapeKeyFn fn) {
   shape_key_fn_ = std::move(fn);
@@ -90,42 +85,11 @@ TrainStats TrainLoop::Run(
   // for the whole step, so losses may alias them via ConstantView.
   std::vector<linalg::Matrix> gathered(gather_sources.size());
 
-  // Asynchronous validation (EnableAsyncValidation): a dedicated
-  // single-thread worker scores the snapshot taken after epoch e's last
-  // batch while epoch e+1 trains; the early-stop decision for epoch e
-  // resolves after epoch e+1's batches. `pending_snapshot` is written only
-  // by this thread and read only by the validator between Submit and Wait
-  // (which carry the fences).
-  // (`pending_snapshot`/`pending_value` are declared before `validator` so
-  // that if an exception unwinds with a score in flight, the pool joins —
-  // destructor — while the buffers the task reads are still alive.)
-  const bool async_valid = async_valid_fn_ != nullptr;
-  std::vector<linalg::Matrix> pending_snapshot;
-  double pending_value = 0.0;
-  bool pending = false;
-  std::unique_ptr<ThreadPool> validator;
-  if (async_valid) validator = std::make_unique<ThreadPool>(1);
-
   WallTimer timer;
   TrainStats stats;
   double best_valid = valid_loss();
   std::vector<linalg::Matrix> best_snapshot = SnapshotValues(params_);
   int since_best = 0;
-
-  // Applies one epoch's validation outcome. `snapshot` is the parameter
-  // state the value was scored on (null => snapshot the live parameters,
-  // valid only for the synchronous path where nothing has trained since).
-  // Returns true when patience is exhausted.
-  auto resolve = [&](double value, std::vector<linalg::Matrix>* snapshot) {
-    if (value < best_valid - options_.min_improvement) {
-      best_valid = value;
-      best_snapshot =
-          snapshot != nullptr ? std::move(*snapshot) : SnapshotValues(params_);
-      since_best = 0;
-      return false;
-    }
-    return ++since_best >= options_.patience;
-  };
 
   bool stop = false;
   for (int epoch = 0; epoch < options_.epochs && !stop; ++epoch) {
@@ -163,43 +127,19 @@ TrainStats TrainLoop::Run(
     }
     stats.epochs_run = epoch + 1;
 
-    if (!async_valid) {
-      const double epoch_valid = valid_loss();
-      stop = resolve(epoch_valid, /*snapshot=*/nullptr);
-      if (options_.verbose && options_.log_every > 0 &&
-          epoch % options_.log_every == 0) {
-        CERL_LOG(Info) << options_.log_label << " epoch " << epoch
-                       << " valid loss " << epoch_valid;
-      }
-      continue;
+    const double epoch_valid = valid_loss();
+    if (epoch_valid < best_valid - options_.min_improvement) {
+      best_valid = epoch_valid;
+      best_snapshot = SnapshotValues(params_);
+      since_best = 0;
+    } else {
+      stop = ++since_best >= options_.patience;
     }
-
-    // Resolve the previous epoch's score (it ran during this epoch's
-    // batches), then launch this epoch's scoring unless stopping.
-    if (pending) {
-      validator->Wait();
-      pending = false;
-      stop = resolve(pending_value, &pending_snapshot);
-      if (options_.verbose && options_.log_every > 0 &&
-          (epoch - 1) % options_.log_every == 0) {
-        CERL_LOG(Info) << options_.log_label << " epoch " << epoch - 1
-                       << " valid loss " << pending_value << " (async)";
-      }
+    if (options_.verbose && options_.log_every > 0 &&
+        epoch % options_.log_every == 0) {
+      CERL_LOG(Info) << options_.log_label << " epoch " << epoch
+                     << " valid loss " << epoch_valid;
     }
-    if (!stop) {
-      pending_snapshot = SnapshotValues(params_);
-      validator->Submit([this, &pending_value, &pending_snapshot] {
-        pending_value = async_valid_fn_(pending_snapshot);
-      });
-      pending = true;
-    }
-  }
-  if (pending) {
-    // Epoch budget exhausted with the final epoch's score still in flight:
-    // it must still compete for the best snapshot, exactly as the
-    // synchronous loop scores its last epoch.
-    validator->Wait();
-    resolve(pending_value, &pending_snapshot);
   }
 
   RestoreValues(params_, best_snapshot);

@@ -17,16 +17,12 @@
 // re-recorded each step, so after the first epoch no tape-node Matrix is
 // allocated. Batch indices are passed as a span of the epoch permutation
 // (no per-step index vector). When the caller registers gather sources,
-// the loop assembles each batch's row-gathers itself, inline on the calling
-// thread, into matrices reused from step to step.
+// the loop assembles each batch's row-gathers itself into matrices reused
+// from step to step.
 //
-// Validation can also come off the training thread: with
-// EnableAsyncValidation the loop snapshots the parameters after the last
-// batch of each epoch, scores the snapshot on a dedicated worker while the
-// next epoch's batches proceed, and resolves the early-stop decision one
-// epoch late. The best snapshot (and therefore the restored parameters)
-// is bit-identical to the synchronous loop; only the epoch at which the
-// loop notices it should stop shifts by at most one.
+// Everything — gathers, kernels, the optimizer step and the per-epoch
+// validation pass — runs on the calling thread (in the stream engine, the
+// stream worker that trains the stage); the loop starts no threads.
 #pragma once
 
 #include <cstdint>
@@ -113,16 +109,6 @@ using GatheredBatchLossFn = std::function<Var(
 /// Full validation criterion used for early stopping / snapshot selection.
 using ValidLossFn = std::function<double()>;
 
-/// Validation criterion evaluated against an explicit parameter snapshot
-/// (ordered like the loop's `params`). Used by the asynchronous validation
-/// path, where the live parameters keep training while the snapshot is
-/// scored on a worker — the callback must not read the live parameters
-/// (score a dedicated validation clone of the model instead) and must be
-/// safe to run concurrently with batch steps (it may fan work out to the
-/// global pool, like any kernel).
-using SnapshotValidLossFn =
-    std::function<double(const std::vector<linalg::Matrix>& snapshot)>;
-
 /// Optional tape-pool key for a batch: batches mapping to the same key
 /// reuse the same persistent tape. Defaults to the batch size; callers
 /// whose graph topology also depends on the batch *content* (e.g. the
@@ -157,14 +143,6 @@ class TrainLoop {
                  const GatheredBatchLossFn& batch_loss,
                  const ValidLossFn& valid_loss);
 
-  /// Switches Run to asynchronous validation: after each epoch's last batch
-  /// the parameters are snapshotted and `fn` scores the snapshot on a
-  /// dedicated worker while the next epoch trains; the early-stop decision
-  /// resolves one epoch late. `valid_loss` is still used for the initial
-  /// (pre-training) criterion. Restored best parameters are bit-identical
-  /// to the synchronous loop; TrainStats::epochs_run may be one higher.
-  void EnableAsyncValidation(SnapshotValidLossFn fn);
-
   /// Refines the tape-pool key (see BatchShapeKeyFn). Default: batch size.
   void SetBatchShapeKey(BatchShapeKeyFn fn);
 
@@ -173,7 +151,6 @@ class TrainLoop {
   std::vector<Parameter*> params_;
   Rng* external_rng_;
   Rng owned_rng_;
-  SnapshotValidLossFn async_valid_fn_;  ///< non-null => async validation
   BatchShapeKeyFn shape_key_fn_;
 };
 

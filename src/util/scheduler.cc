@@ -168,7 +168,13 @@ void WorkStealingPool::EnqueueReadyLocked(Item item) {
       }
     }
   }
-  if (wake >= 0) workers_[wake]->cv.notify_one();
+  // Clear the flag here rather than when the worker wakes: a second enqueue
+  // before then must pick another parked worker, or its task would wait
+  // behind whatever the signalled worker runs while the others sleep.
+  if (wake >= 0) {
+    workers_[wake]->idle = false;
+    workers_[wake]->cv.notify_one();
+  }
 }
 
 void WorkStealingPool::PromoteTimersLocked(

@@ -1,11 +1,11 @@
 // Cost-aware work-stealing pool — the scheduling substrate behind the
 // stream engine's dispatch (ROADMAP: "break the round-robin wall").
 //
-// The plain ThreadPool serves tasks strictly FIFO, which round-robins the
-// per-stream strands: with workers < streams, a light tenant's microsecond
-// stage waits a full cycle of every other ready stream's (possibly huge)
-// stage, and a backlogged tenant's queue drains one stage per cycle — tail
-// latency grows with the tenant count, not the tenant's own work. This pool
+// A strictly FIFO pool round-robins the per-stream strands: with workers <
+// streams, a light tenant's microsecond stage waits a full cycle of every
+// other ready stream's (possibly huge) stage, and a backlogged tenant's
+// queue drains one stage per cycle — tail latency grows with the tenant
+// count, not the tenant's own work. This pool
 // schedules by PRIORITY instead (ExecOptions::priority — the stream engine
 // passes each strand's expected pending work, so the ready queue is
 // longest-expected-queue-first), keeps per-worker queues for affinity
@@ -40,7 +40,7 @@
 // Locking: one pool mutex guards every queue. Tasks here are coarse
 // (trainer stages, milliseconds); the lock hold is a heap operation plus an
 // O(workers) scan, tens of nanoseconds — contention is not a design
-// constraint the way it is for the fine-grained kernel pool.
+// constraint.
 #pragma once
 
 #include <chrono>
@@ -52,9 +52,22 @@
 #include <thread>
 #include <vector>
 
-#include "util/executor.h"
+#include "util/task_fn.h"
 
 namespace cerl {
+
+/// Advisory scheduling metadata attached to a submitted task. The cost-aware
+/// policy reads both fields; the FIFO policy (cost_aware = false) ignores
+/// them.
+struct ExecOptions {
+  /// Higher runs sooner (expected pending work, in EWMA milliseconds, for
+  /// the stream engine's strands; +infinity for run-next utility tasks like
+  /// pre-flight validation).
+  double priority = 0.0;
+  /// Preferred worker index, or -1 for no affinity. Wrapped to the worker
+  /// count; any other worker taking the task is a steal.
+  int home = -1;
+};
 
 struct WorkStealingPoolOptions {
   /// Worker threads (>= 1). 0 = hardware concurrency.
@@ -66,19 +79,19 @@ struct WorkStealingPoolOptions {
 };
 
 /// Priority/affinity scheduled pool with work stealing and deadline submits.
-class WorkStealingPool : public Executor {
+class WorkStealingPool {
  public:
   explicit WorkStealingPool(const WorkStealingPoolOptions& options);
   /// Drains every pending task — including parked deadline tasks, whose
   /// deadlines are honored — then joins the workers.
-  ~WorkStealingPool() override;
+  ~WorkStealingPool();
 
   WorkStealingPool(const WorkStealingPool&) = delete;
   WorkStealingPool& operator=(const WorkStealingPool&) = delete;
 
-  /// Schedules `task`. Thread-safe; callable from inside a running task.
-  void Execute(TaskFn task, const ExecOptions& options) override;
-  using Executor::Execute;
+  /// Schedules `task` to run exactly once on some worker. Thread-safe;
+  /// callable from inside a running task.
+  void Execute(TaskFn task, const ExecOptions& options = {});
 
   /// Schedules `task` to become ready `delay_ms` milliseconds from now (it
   /// runs at the first worker availability after that). No worker is

@@ -6,8 +6,8 @@
 
 namespace cerl {
 
-TaskGroup::TaskGroup(Executor* executor) : executor_(executor) {
-  CERL_CHECK(executor != nullptr);
+TaskGroup::TaskGroup(WorkStealingPool* pool) : pool_(pool) {
+  CERL_CHECK(pool != nullptr);
 }
 
 TaskGroup::~TaskGroup() { Wait(); }
@@ -25,7 +25,7 @@ void TaskGroup::Submit(TaskFn task) {
       options = exec_options_;
     }
   }
-  if (start_pump) executor_->Execute([this] { Pump(); }, options);
+  if (start_pump) pool_->Execute([this] { Pump(); }, options);
 }
 
 void TaskGroup::SetExecOptions(const ExecOptions& options) {
@@ -57,12 +57,12 @@ void TaskGroup::Pump() {
       cv_idle_.notify_all();
     }
   }
-  // Re-submit instead of looping: the worker returns to the executor between
+  // Re-submit instead of looping: the worker returns to the pool between
   // group tasks, so many groups sharing few workers interleave (per the
-  // executor's policy) instead of one group monopolizing a worker until its
+  // pool's policy) instead of one group monopolizing a worker until its
   // queue drains. The re-read exec_options_ is what lets a cost-aware
   // engine re-prioritize a stream between stages.
-  if (more) executor_->Execute([this] { Pump(); }, options);
+  if (more) pool_->Execute([this] { Pump(); }, options);
 }
 
 void TaskGroup::Wait() {

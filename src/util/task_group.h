@@ -1,30 +1,28 @@
-// Serialized task submission on a shared executor (a "strand").
+// Serialized task submission on a shared WorkStealingPool (a "strand").
 //
 // A TaskGroup guarantees that its tasks run one at a time, in submission
 // order (fenced submit: every task observes the effects of all tasks
 // submitted to the same group before it), while tasks of DIFFERENT groups
-// interleave freely across the executor's workers. This is the primitive the
+// interleave freely across the pool's workers. This is the primitive the
 // stream engine uses to serialize the per-stream stage pipeline
 // (ingest -> train -> migrate) without one stream's work blocking another:
-// unlike ThreadPool::Wait — which fences the whole pool — TaskGroup::Wait
-// only drains this group.
+// unlike WorkStealingPool::Wait — which fences the whole pool —
+// TaskGroup::Wait only drains this group.
 //
 // The group never occupies a worker while idle: a pump task is scheduled on
-// the executor only while the group has pending work, and it re-submits
-// itself after each task so long-queued groups share workers fairly with
-// other groups (and other executor users) instead of holding a worker until
-// drained. HOW the ready pumps are ordered is the executor's policy: on the
-// FIFO ThreadPool groups round-robin; on the cost-aware WorkStealingPool
+// the pool only while the group has pending work, and it re-submits itself
+// after each task so long-queued groups share workers fairly with other
+// groups (and other pool users) instead of holding a worker until drained.
+// HOW the ready pumps are ordered is the pool's policy: under the FIFO
+// policy (cost_aware = false) groups round-robin; under the cost-aware one
 // the pump carries the group's ExecOptions (priority = the stream's
 // expected pending work, home = its preferred worker), refreshed via
 // SetExecOptions before each pump submission — the hook the stream engine's
 // longest-expected-queue-first dispatch is built on.
 //
 // Blocking inside a group task follows the same rule as any pool task:
-// tasks that block on the pool they run on (ParallelFor on the same pool,
-// ThreadPool::Wait) can deadlock once every worker is blocked. Run groups
-// whose tasks fan work out to the global pool on a dedicated pool (the
-// stream engine owns one).
+// tasks that block on the pool they run on (WorkStealingPool::Wait, or
+// another group's Wait) can deadlock once every worker is blocked.
 #pragma once
 
 #include <condition_variable>
@@ -32,15 +30,15 @@
 #include <deque>
 #include <mutex>
 
-#include "util/executor.h"
+#include "util/scheduler.h"
 
 namespace cerl {
 
-/// FIFO-serialized executor strand on top of an Executor.
+/// FIFO-serialized strand on top of a WorkStealingPool.
 class TaskGroup {
  public:
-  /// The executor must outlive the group.
-  explicit TaskGroup(Executor* executor);
+  /// The pool must outlive the group.
+  explicit TaskGroup(WorkStealingPool* pool);
 
   /// Drains pending tasks (Wait) before destruction.
   ~TaskGroup();
@@ -60,7 +58,7 @@ class TaskGroup {
   void SetExecOptions(const ExecOptions& options);
 
   /// Blocks until every task submitted to THIS group so far has finished.
-  /// Tasks of other groups (and unrelated executor work) are not waited on.
+  /// Tasks of other groups (and unrelated pool work) are not waited on.
   void Wait();
 
   /// Tasks submitted over the group's lifetime (monotonic; for tests/stats).
@@ -73,7 +71,7 @@ class TaskGroup {
   /// Runs the front task, then re-submits itself while work remains.
   void Pump();
 
-  Executor* executor_;
+  WorkStealingPool* pool_;
   mutable std::mutex mutex_;
   std::condition_variable cv_idle_;
   std::deque<TaskFn> pending_;

@@ -1,9 +1,12 @@
 // Tests for the causal layer: metrics, scalers, herding (vs random,
 // property-style), the representation network, CFR training on a toy DGP
-// with selection bias, and the strategy drivers.
+// with selection bias, the strategy drivers, and that training runs on the
+// calling thread.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <iterator>
 
 #include "causal/cfr.h"
 #include "causal/herding.h"
@@ -20,6 +23,20 @@ using data::CausalDataset;
 using data::DataSplit;
 using linalg::Matrix;
 using linalg::Vector;
+
+// Threads in this process (entries in /proc/self/task), or -1 where that
+// directory does not exist.
+int ProcessThreadCount() {
+  const std::filesystem::path tasks = "/proc/self/task";
+  std::error_code ec;
+  if (!std::filesystem::is_directory(tasks, ec)) return -1;
+  return static_cast<int>(
+      std::distance(std::filesystem::directory_iterator(tasks),
+                    std::filesystem::directory_iterator()));
+}
+
+// Recorded during static initialization, before any test body runs.
+const int kThreadsAtStart = ProcessThreadCount();
 
 TEST(MetricsTest, PerfectPredictionIsZero) {
   Vector truth = {1.0, 2.0, 3.0};
@@ -267,6 +284,24 @@ TEST(CfrTest, FineTunePreservesScalers) {
   model.FineTune(train2, valid2);
   Matrix after = model.net().x_scaler().Apply(probe);
   EXPECT_EQ(Matrix::MaxAbsDiff(before, after), 0.0);
+}
+
+// Kernels, gathers, optimizer steps and validation all run on the thread
+// that trains: neither a CFR fit nor a herding scan may start a thread
+// (the stream engine's parallelism is across streams, one worker each).
+TEST(CausalThreadsTest, TrainingAndHerdingStartNoThreads) {
+  if (kThreadsAtStart < 0) GTEST_SKIP() << "no /proc/self/task";
+  Rng rng(9);
+  CausalDataset train = ToyDgp(&rng, 600);
+  CausalDataset valid = ToyDgp(&rng, 150);
+  TrainConfig config = FastTrain();
+  config.epochs = 3;
+  CfrModel model(SmallNet(), config, 6);
+  model.Train(train, valid);
+  const std::vector<int> picked =
+      HerdingSelect(model.net().Representations(train.x), 100);
+  EXPECT_EQ(picked.size(), 100u);
+  EXPECT_EQ(ProcessThreadCount(), kThreadsAtStart);
 }
 
 TEST(StrategiesTest, NamesAndStageEvalShape) {

@@ -1,10 +1,10 @@
 // Short-config soak of the skewed-tenant load harness (workload_gen) under
 // both schedule policies. This is primarily a RACE net: the TSan CI job runs
-// it so the full open-loop path — timed pushes from a driver thread, async
-// validation, cost-aware priority updates, work stealing, deadline retries,
-// histogram merges — executes under the race detector on every change. The
-// functional assertions are deliberately coarse (latency VALUES are machine
-// noise); completeness and bookkeeping must hold exactly.
+// it so the full open-loop path — timed pushes from a driver thread,
+// pre-flight validation tasks, cost-aware priority updates, work stealing,
+// deadline retries, histogram merges — executes under the race detector on
+// every change. The functional assertions are deliberately coarse (latency
+// VALUES are machine noise); completeness and bookkeeping must hold exactly.
 #include <gtest/gtest.h>
 
 #include "stream/workload_gen.h"

@@ -175,6 +175,47 @@ TEST(WorkStealingPoolTest, IdleWorkerStealsHomedTasks) {
   EXPECT_EQ(pool.steal_count(), off_home.load());
 }
 
+// Back-to-back enqueues on a parked pool must wake two distinct workers:
+// the first task blocks until the second has run, so the second can only
+// run on a worker that the second enqueue woke. Both tasks share a home, so
+// under the cost-aware policy the second runs by a steal.
+TEST(WorkStealingPoolTest, BackToBackSubmitsWakeDistinctParkedWorkers) {
+  for (const bool cost_aware : {false, true}) {
+    WorkStealingPoolOptions options;
+    options.num_threads = 2;
+    options.cost_aware = cost_aware;
+    WorkStealingPool pool(options);
+    // Let both workers park first: a worker still starting up finds queued
+    // tasks on its own, which would hide a missed wakeup.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool second_ran = false;
+    bool first_saw_second = false;
+    ExecOptions opts;
+    opts.home = 0;
+    pool.Execute(
+        [&] {
+          std::unique_lock<std::mutex> lock(mutex);
+          first_saw_second = cv.wait_for(lock, std::chrono::seconds(5),
+                                         [&] { return second_ran; });
+        },
+        opts);
+    pool.Execute(
+        [&] {
+          {
+            std::lock_guard<std::mutex> lock(mutex);
+            second_ran = true;
+          }
+          cv.notify_all();
+        },
+        opts);
+    pool.Wait();
+    EXPECT_TRUE(first_saw_second) << "cost_aware = " << cost_aware;
+  }
+}
+
 TEST(WorkStealingPoolTest, CurrentWorkerIsMinusOneOffPool) {
   WorkStealingPoolOptions options;
   options.num_threads = 2;

@@ -1,22 +1,32 @@
 // Tests for util::TaskGroup, the fenced-submit / per-stream serialization
 // primitive: strict FIFO order and mutual exclusion within a group,
-// independence across groups sharing one pool, and group-scoped Wait.
+// independence across groups sharing one pool, and group-scoped Wait. The
+// pool runs its FIFO policy (cost_aware = false): one strict queue, so the
+// tests see plain round-robin scheduling.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <mutex>
 #include <vector>
 
+#include "util/scheduler.h"
 #include "util/task_group.h"
-#include "util/thread_pool.h"
 
 namespace cerl {
 namespace {
 
+WorkStealingPoolOptions Fifo(int num_threads) {
+  WorkStealingPoolOptions options;
+  options.num_threads = num_threads;
+  options.cost_aware = false;
+  return options;
+}
+
 TEST(TaskGroupTest, RunsTasksInSubmissionOrderExactlyOnce) {
-  ThreadPool pool(4);
+  WorkStealingPool pool(Fifo(4));
   TaskGroup group(&pool);
   std::vector<int> order;  // written only by group tasks => serialized
   const int kTasks = 500;
@@ -31,7 +41,7 @@ TEST(TaskGroupTest, RunsTasksInSubmissionOrderExactlyOnce) {
 }
 
 TEST(TaskGroupTest, TasksOfOneGroupNeverOverlap) {
-  ThreadPool pool(4);
+  WorkStealingPool pool(Fifo(4));
   TaskGroup group(&pool);
   std::atomic<int> in_flight{0};
   std::atomic<int> max_in_flight{0};
@@ -53,7 +63,7 @@ TEST(TaskGroupTest, GroupsDoNotBlockEachOther) {
   // serialized against each other (pool-global fencing), this would
   // deadlock; with per-group serialization B's task runs on another worker
   // and releases A.
-  ThreadPool pool(2);
+  WorkStealingPool pool(Fifo(2));
   TaskGroup a(&pool), b(&pool);
   std::mutex mutex;
   std::condition_variable cv;
@@ -77,7 +87,7 @@ TEST(TaskGroupTest, GroupsDoNotBlockEachOther) {
 }
 
 TEST(TaskGroupTest, WaitScopedToOwnGroup) {
-  ThreadPool pool(2);
+  WorkStealingPool pool(Fifo(2));
   TaskGroup slow(&pool), fast(&pool);
   std::mutex mutex;
   std::condition_variable cv;
@@ -103,7 +113,7 @@ TEST(TaskGroupTest, WaitScopedToOwnGroup) {
 }
 
 TEST(TaskGroupTest, SubmitAfterDrainRestartsPump) {
-  ThreadPool pool(2);
+  WorkStealingPool pool(Fifo(2));
   TaskGroup group(&pool);
   int runs = 0;
   group.Submit([&] { ++runs; });
@@ -117,16 +127,17 @@ TEST(TaskGroupTest, SubmitAfterDrainRestartsPump) {
 
 TEST(TaskGroupTest, FencedSubmitSeesPriorTasksEffects) {
   // Each task reads the value the previous task wrote (no atomics): the
-  // group's serialization must carry the happens-before edge.
-  ThreadPool pool(4);
+  // group's serialization must carry the happens-before edge. Unsigned, so
+  // the recurrence wraps instead of overflowing.
+  WorkStealingPool pool(Fifo(4));
   TaskGroup group(&pool);
-  long long value = 0;
+  uint64_t value = 0;
   const int kTasks = 300;
   for (int i = 0; i < kTasks; ++i) {
     group.Submit([&value] { value = value * 3 + 1; });
   }
   group.Wait();
-  long long expected = 0;
+  uint64_t expected = 0;
   for (int i = 0; i < kTasks; ++i) expected = expected * 3 + 1;
   EXPECT_EQ(value, expected);
 }
@@ -136,7 +147,7 @@ TEST(TaskGroupTest, SmallTasksNeverTouchTheHeap) {
   // must stay allocation-free for small closures: TaskFn's inline storage
   // holds them, and the pump lambda is a single captured pointer. A heap
   // allocation per stage task would put malloc on every scheduler decision.
-  ThreadPool pool(2);
+  WorkStealingPool pool(Fifo(2));
   TaskGroup group(&pool);
   std::atomic<int> runs{0};
   group.Submit([&runs] { runs.fetch_add(1); });
@@ -164,7 +175,7 @@ TEST(TaskGroupTest, SmallTasksNeverTouchTheHeap) {
 }
 
 TEST(TaskGroupTest, DestructorDrains) {
-  ThreadPool pool(2);
+  WorkStealingPool pool(Fifo(2));
   std::atomic<int> runs{0};
   {
     TaskGroup group(&pool);

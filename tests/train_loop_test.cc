@@ -1,15 +1,36 @@
 // Tests for the shared mini-batch training engine: early-stopping snapshot
 // restore, patience accounting, full per-epoch sample coverage including
 // the tail batch (regression: the pre-extraction loops dropped up to
-// batch_size-1 samples per epoch), and gathered-row minibatch assembly.
+// batch_size-1 samples per epoch), gathered-row minibatch assembly, and
+// allocation-free steady-state steps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <numeric>
 #include <vector>
 
 #include "autodiff/ops.h"
 #include "train/train_loop.h"
+
+// Counting replacements of the global allocation functions: every operator
+// new in this binary (array and nothrow forms included, which forward here)
+// bumps the counter, so a test can assert that a code region allocates
+// nothing at all, not only nothing from one arena.
+namespace {
+std::atomic<int64_t> g_heap_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace cerl::train {
 namespace {
@@ -192,6 +213,59 @@ TEST(TrainLoopAssemblyTest, GatheredRowsMatchBatchIndices) {
       },
       [&]() { return 1.0; });
   EXPECT_EQ(steps, 3 * 6);  // five full batches + the tail, per epoch
+}
+
+// Once the first epoch has warmed the tapes (one per batch shape), the
+// gather matrices and the Adam moments, nothing from one batch-loss call to
+// the next — the loss graph, Backward, the optimizer step and the next
+// batch's gathers — may touch the heap. Two parameters and two gather
+// sources of different widths, with a tail batch (n = 23, batch 4) so the
+// gather matrices shrink to the tail shape inside every epoch.
+TEST(TrainLoopAllocationTest, SteadyStateStepsDoNotAllocate) {
+  const int n = 23, dx = 5, dy = 2, batch = 4, epochs = 4;
+  linalg::Matrix x(n, dx), y(n, dy);
+  for (int r = 0; r < n; ++r) {
+    for (int c = 0; c < dx; ++c) x(r, c) = 0.01 * r - 0.1 * c;
+    for (int c = 0; c < dy; ++c) y(r, c) = 0.02 * c - 0.01 * r;
+  }
+  Parameter wx(linalg::Matrix(dx, 1, 0.1), "wx");
+  Parameter wy(linalg::Matrix(dy, 1, -0.1), "wy");
+  LoopOptions options;
+  options.epochs = epochs;
+  options.batch_size = batch;
+  options.patience = 100;
+  const int steps_per_epoch = (n + batch - 1) / batch;
+
+  int calls = 0;
+  int checked = 0;
+  int64_t at_previous_call = 0;
+  int64_t steady_allocations = 0;
+  TrainLoop loop(options, {&wx, &wy});
+  loop.Run(
+      n, {&x, &y},
+      [&](Tape* tape, IndexSpan, const std::vector<linalg::Matrix>& gathered) {
+        const int64_t now =
+            g_heap_allocations.load(std::memory_order_relaxed);
+        // Consecutive calls within one epoch, after the first epoch (the
+        // epoch boundary draws a permutation and validates, which may
+        // allocate).
+        if (calls >= steps_per_epoch && calls % steps_per_epoch != 0) {
+          steady_allocations += now - at_previous_call;
+          ++checked;
+        }
+        at_previous_call = now;
+        ++calls;
+        Var px = autodiff::MatMul(tape->ConstantView(&gathered[0]),
+                                  tape->Param(&wx));
+        Var py = autodiff::MatMul(tape->ConstantView(&gathered[1]),
+                                  tape->Param(&wy));
+        return autodiff::Add(autodiff::Sum(autodiff::Square(px)),
+                             autodiff::Sum(autodiff::Square(py)));
+      },
+      [&]() { return 1.0; });
+  EXPECT_EQ(calls, epochs * steps_per_epoch);
+  EXPECT_EQ(checked, (epochs - 1) * (steps_per_epoch - 1));
+  EXPECT_EQ(steady_allocations, 0);
 }
 
 TEST(TrainLoopSnapshotTest, SnapshotRestoreRoundTrips) {

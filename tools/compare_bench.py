@@ -31,6 +31,10 @@ Rules:
     (typically a "BENCH#counter" rate, e.g. a queries/s counter) is below
     MIN — an absolute performance floor for throughput-style acceptance
     targets; a missing NAME is a hard error, same as --pair;
+  - each file's host shape (context.num_cpus, context.mhz_per_cpu) is
+    printed first; when num_cpus differs, a warning naming both shapes
+    goes to stderr, since wall-time ratios across host shapes mix the code
+    change with per-core speed (the gates themselves are unchanged);
   - exit code 0 = pass, 1 = regression, 2 = usage/parse error.
 
 CI runners are noisy; the default 25% threshold is deliberately loose — it
@@ -54,6 +58,7 @@ STANDARD_FIELDS = {
 
 
 def load_benchmarks(path):
+    """Returns ({name or name#counter: value}, the file's context dict)."""
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -81,7 +86,12 @@ def load_benchmarks(path):
     if not out:
         print(f"error: no benchmarks found in {path}", file=sys.stderr)
         sys.exit(2)
-    return out
+    return out, doc.get("context", {})
+
+
+def host_shape(context):
+    return (f"num_cpus={context.get('num_cpus', '?')} "
+            f"mhz_per_cpu={context.get('mhz_per_cpu', '?')}")
 
 
 def main():
@@ -108,8 +118,16 @@ def main():
                              "(repeatable)")
     args = parser.parse_args()
 
-    baseline = load_benchmarks(args.baseline)
-    current = load_benchmarks(args.current)
+    baseline, baseline_context = load_benchmarks(args.baseline)
+    current, current_context = load_benchmarks(args.current)
+
+    print(f"host baseline: {host_shape(baseline_context)}")
+    print(f"host current:  {host_shape(current_context)}")
+    if baseline_context.get("num_cpus") != current_context.get("num_cpus"):
+        print(f"warning: host shape mismatch: baseline "
+              f"{host_shape(baseline_context)}, current "
+              f"{host_shape(current_context)}; wall-time ratios include the "
+              f"host difference, not only the code change", file=sys.stderr)
 
     gated_suffixes = set(args.gate_counter)
 
