@@ -461,12 +461,13 @@ void BM_EngineSnapshotSave(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineSnapshotSave);
 
-// The snapshot-fence O(dirty) claim, measured: a 64-tenant engine where 4
-// tenants train new domains between snapshots. serialize_ms (the fence's
-// serialization window, excluding the disk write) is the reported counter:
-// retrained tenants refresh their last-good capture on their own worker at
-// domain completion, so the fence appends 64 cached blobs without touching
-// any trainer. Training between saves runs outside the timer.
+// How long a snapshot holds the engine lock: a 64-tenant engine where 4
+// tenants train new domains between snapshots. serialize_ms (the capture's
+// lock hold, excluding the container assembly and the disk write) is the
+// reported counter: retrained tenants refresh their last-good capture on
+// their own worker at domain completion, so the capture takes 64 blob
+// references without touching any trainer. Training between saves runs
+// outside the timer.
 void BM_EngineSnapshotDirty(benchmark::State& state) {
   const int kStreams = 64;
   const int kDirty = 4;

@@ -14,10 +14,11 @@
 // hosts).
 //
 // The run also demonstrates a rolling restart: mid-run — with domains still
-// queued — the engine snapshots itself to disk (SaveSnapshot drains each
-// stream to a domain boundary, journals the queued work, and keeps
-// serving), and a FRESH engine restores from the file (LoadSnapshot),
-// replays the journal, and finishes with bit-identical trainers.
+// queued — the engine snapshots itself to disk (SaveSnapshot captures every
+// stream's trained state without pausing it, while the write-ahead log
+// keeps the pending domains), and a FRESH engine recovers from the
+// snapshot plus a copy of the log (Recover), replays the pending domains,
+// and finishes with bit-identical trainers.
 //
 // Run: ./build/examples/stream_multiplex
 #include <algorithm>
@@ -27,6 +28,7 @@
 #include "data/synthetic.h"
 #include "data/topic_benchmark.h"
 #include "stream/stream_engine.h"
+#include "util/binary_io.h"
 #include "util/timer.h"
 
 namespace {
@@ -107,8 +109,18 @@ int main() {
   std::vector<Scenario> scenarios = BuildScenarios();
 
   // --- Concurrent: every stream multiplexed over the engine's workers ---
+  // Every accepted domain is logged to the WAL before PushDomain returns.
+  const char* wal_path = "stream_multiplex.wal";
+  std::remove(wal_path);  // a fresh log: Recover replays all of it
+  stream::StreamEngineOptions options;
+  options.wal_path = wal_path;
   WallTimer engine_timer;
-  stream::StreamEngine engine;
+  stream::StreamEngine engine(options);
+  Status opened = engine.OpenStorage();
+  if (!opened.ok()) {
+    std::printf("cannot open the WAL: %s\n", opened.ToString().c_str());
+    return 1;
+  }
   std::vector<int> ids;
   for (const Scenario& s : scenarios) {
     ids.push_back(engine.AddStream(s.name, s.config, s.input_dim));
@@ -126,8 +138,9 @@ int main() {
     }
   }
 
-  // Snapshot UNDER LOAD: most pushed domains are still queued, so the
-  // container carries every trainer plus a replay journal of pending work.
+  // Snapshot UNDER LOAD: most pushed domains are still pending, so the
+  // container carries every trainer's consumed state and the WAL keeps the
+  // pending domains.
   const char* snap_path = "stream_multiplex.snap";
   stream::StreamEngine::SnapshotInfo snap_info;
   Status snap = engine.SaveSnapshot(snap_path, &snap_info);
@@ -160,18 +173,27 @@ int main() {
     }
   }
 
-  // --- Rolling restart: a fresh engine resumes from the snapshot --------
+  // --- Rolling restart: a fresh engine resumes from snapshot + WAL -----
   std::printf("\nsnapshot under load: %d streams, %d domains trained, "
-              "%d journaled (still queued at the fence)\n",
+              "%d pending (replayed from the WAL)\n",
               snap_info.num_streams, snap_info.completed_domains,
-              snap_info.journaled_domains);
-  stream::StreamEngine resumed;
-  Status restored = resumed.LoadSnapshot(snap_path);
+              snap_info.pending_domains);
+  // The running engine keeps its log open; the restarted one recovers from
+  // a copy, as a new process would find the file on disk.
+  stream::StreamEngineOptions resumed_options;
+  resumed_options.wal_path = "stream_multiplex_resumed.wal";
+  Result<std::string> wal_bytes = ReadFileToString(wal_path);
+  Status restored = wal_bytes.status();
+  if (restored.ok()) {
+    restored = WriteFileAtomic(resumed_options.wal_path, wal_bytes.value());
+  }
+  stream::StreamEngine resumed(resumed_options);
+  if (restored.ok()) restored = resumed.Recover(snap_path);
   if (!restored.ok()) {
     std::printf("restore failed: %s\n", restored.ToString().c_str());
     return 1;
   }
-  resumed.Drain();  // journal replays: queued domains train in push order
+  resumed.Drain();  // WAL replay: pending domains train in push order
   double max_restart_diff = 0.0;
   for (size_t i = 0; i < scenarios.size(); ++i) {
     // A stream with no trained stage (e.g. quarantined before its first
@@ -188,8 +210,8 @@ int main() {
       max_restart_diff = std::max(max_restart_diff, std::abs(a[u] - b[u]));
     }
   }
-  std::printf("restored engine finished the journal; max |ITE diff| vs the "
-              "uninterrupted engine: %g (bit-identical restart)\n",
+  std::printf("restored engine finished the replayed domains; max |ITE diff| "
+              "vs the uninterrupted engine: %g (bit-identical restart)\n",
               max_restart_diff);
 
   // --- Serial reference: identical math, one domain at a time ----------

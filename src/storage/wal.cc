@@ -33,6 +33,34 @@ uint64_t RecordChecksum(const char* header8, std::string_view payload) {
   return hash;
 }
 
+// Walks the valid record prefix of `contents`, calling
+// visit(type, payload, record bytes) for each record, and returns the
+// prefix length. Stops at the first record that is short, oversized, or
+// fails its checksum.
+template <typename Visit>
+size_t ScanRecords(std::string_view contents, Visit&& visit) {
+  size_t valid_end = 0;
+  while (contents.size() - valid_end >= kHeaderBytes) {
+    const char* header = contents.data() + valid_end;
+    uint32_t len = 0, type = 0;
+    uint64_t stored = 0;
+    std::memcpy(&len, header, sizeof(len));
+    std::memcpy(&type, header + 4, sizeof(type));
+    std::memcpy(&stored, header + 8, sizeof(stored));
+    if (len > kMaxPayload ||
+        static_cast<uint64_t>(len) + kHeaderBytes >
+            contents.size() - valid_end) {
+      break;  // torn or corrupt length
+    }
+    const std::string_view payload = contents.substr(valid_end + kHeaderBytes,
+                                                     len);
+    if (RecordChecksum(header, payload) != stored) break;
+    visit(type, payload, contents.substr(valid_end, kHeaderBytes + len));
+    valid_end += kHeaderBytes + len;
+  }
+  return valid_end;
+}
+
 }  // namespace
 
 Wal::Wal(std::string path, Options options)
@@ -70,28 +98,11 @@ Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path,
     }
     // A missing file is simply an empty log.
   }
-  size_t valid_end = 0;
-  while (contents.size() - valid_end >= kHeaderBytes) {
-    const char* header = contents.data() + valid_end;
-    uint32_t len = 0, type = 0;
-    uint64_t stored = 0;
-    std::memcpy(&len, header, sizeof(len));
-    std::memcpy(&type, header + 4, sizeof(type));
-    std::memcpy(&stored, header + 8, sizeof(stored));
-    if (len > kMaxPayload ||
-        static_cast<uint64_t>(len) + kHeaderBytes >
-            contents.size() - valid_end) {
-      break;  // torn or corrupt length
-    }
-    const std::string_view payload(contents.data() + valid_end + kHeaderBytes,
-                                   len);
-    if (RecordChecksum(header, payload) != stored) break;
-    Record r;
-    r.type = type;
-    r.payload.assign(payload.data(), payload.size());
-    wal->recovered_.push_back(std::move(r));
-    valid_end += kHeaderBytes + len;
-  }
+  const size_t valid_end = ScanRecords(
+      contents, [&wal](uint32_t type, std::string_view payload,
+                       std::string_view /*record*/) {
+        wal->recovered_.push_back({type, std::string(payload)});
+      });
   wal->truncated_bytes_ = contents.size() - valid_end;
 
   wal->fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
@@ -114,6 +125,7 @@ Status Wal::Append(uint32_t type, std::string_view payload) {
                                    std::to_string(payload.size()) + " bytes");
   }
   std::lock_guard<std::mutex> lock(mutex_);
+  if (fd_ < 0) return Status::IoError("WAL is closed: " + path_);
   if (CERL_FAULT_POINT(FaultPoint::kIoWrite)) {
     return Status::IoError("injected WAL append failure: " + path_);
   }
@@ -140,25 +152,32 @@ Status Wal::Append(uint32_t type, std::string_view payload) {
   return Status::Ok();
 }
 
-Status Wal::Compact(const std::vector<Record>& keep) {
+Status Wal::Compact(
+    const std::function<bool(uint32_t type, std::string_view payload)>&
+        keep) {
   std::lock_guard<std::mutex> lock(mutex_);
+  if (fd_ < 0) return Status::IoError("WAL is closed: " + path_);
+  // Every record on disk is complete: Open cut any torn tail, and a failed
+  // append restores the previous length.
+  Result<std::string> read = ReadFileToString(path_);
+  CERL_RETURN_IF_ERROR(read.status());
   std::string contents;
-  for (const Record& r : keep) {
-    contents += EncodeRecord(r.type, r.payload);
-  }
+  ScanRecords(read.value(), [&](uint32_t type, std::string_view payload,
+                                std::string_view record) {
+    if (keep(type, payload)) contents.append(record);
+  });
   // WriteFileAtomic publishes the compacted log or leaves the old one —
   // never a torn intermediate — then the fd is repointed at the new file.
   CERL_RETURN_IF_ERROR(WriteFileAtomic(path_, contents));
-  const int fd = ::open(path_.c_str(), O_RDWR | O_CLOEXEC);
-  if (fd < 0) {
+  ::close(fd_);
+  fd_ = ::open(path_.c_str(), O_RDWR | O_CLOEXEC);
+  if (fd_ < 0 || ::lseek(fd_, 0, SEEK_END) < 0) {
+    // The old fd points at the unlinked file: appends through it would be
+    // lost, so the log closes instead.
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
     return Status::IoError("cannot reopen WAL after compaction: " + path_);
   }
-  if (::lseek(fd, 0, SEEK_END) < 0) {
-    ::close(fd);
-    return Status::IoError("cannot seek WAL after compaction: " + path_);
-  }
-  ::close(fd_);
-  fd_ = fd;
   size_bytes_ = contents.size();
   return Status::Ok();
 }

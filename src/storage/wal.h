@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -66,10 +67,14 @@ class Wal {
   /// pre-append length: a record is either fully logged or not at all.
   Status Append(uint32_t type, std::string_view payload);
 
-  /// Atomically replaces the log's contents with `keep` (crash-safe:
-  /// temp file + rename). Used after a successful snapshot to drop
-  /// records the snapshot subsumes.
-  Status Compact(const std::vector<Record>& keep);
+  /// Rewrites the log down to the records `keep(type, payload)` accepts,
+  /// copying their bytes verbatim (crash-safe: temp file + rename). Used
+  /// after a snapshot to drop the records it subsumes. Appends wait while
+  /// the file is rewritten. If the rewritten log cannot be reopened, the
+  /// log is closed and every later Append returns IoError.
+  Status Compact(
+      const std::function<bool(uint32_t type, std::string_view payload)>&
+          keep);
 
   uint64_t size_bytes() const;
   uint64_t appended_records() const;

@@ -3,48 +3,40 @@
 // A multi-tenant CERL server's entire durable state is: per stream, the
 // trainer's continual state (model + scalers + memory M_d + stage counter +
 // RNG — the CERLCKP1 payload from core/checkpoint.cc) plus the domains that
-// were pushed but not yet trained. The paper's accessibility criterion makes
-// this exactly what may persist: the journal holds only domains that have
-// not been consumed yet (they are current, not past-domain, data), and
-// nothing else in the container is raw covariates.
+// were accepted but not consumed yet. The container holds only the first:
+// the accepted-but-unconsumed domains live in the WAL alone (see
+// engine_storage.cc), so nothing in the container is raw covariates — the
+// paper's accessibility criterion.
 //
-// Format CERLENG4 (golden fixtures under tests/testdata/ pin the layout):
-//   magic "CERLENG4",
+// Format CERLENG5 (golden fixtures under tests/testdata/ pin the layout):
+//   magic "CERLENG5",
 //   u32 num_workers                                (informational),
-//   u8 reserved                                    (written as 1, ignored),
-//   u8 backlog_in_wal                              (1 = the journal is
-//     elided; the still-queued domains live in the WAL and Recover()
-//     replays them — see engine_storage.cc),
 //   u32 num_streams, then per stream:
 //     u32 name_len, name bytes,
 //     u32 input_dim,
 //     CerlConfig block (fixed field order, see snapfmt::WriteConfig),
-//     u32 completed_domains                        (resumes domain indices),
+//     u32 completed_domains                        (consumed; resumes
+//       domain indices),
 //     u8 health, u32 consecutive_failures, u32 failed_domains,
 //     3 x { f64 rate_ms_per_unit, i64 count }      (the stream's learned
 //       StageCostModel rates),
 //     u8 has_trainer, [u64 blob_len, CERLCKP1 payload incl. its checksum],
-//     u32 journal_count, then per queued domain a DataSplit
-//       (train/valid/test, each: u32 rows, u32 cols, f64 x[], u8 t[],
-//        u32 n + f64 y[], u32 n + f64 mu0[], u32 n + f64 mu1[]),
 //   u64 FNV-1a checksum.
 //
 // Checksum scope: the trailing hash covers the container METADATA only —
 // the embedded CERLCKP1 blob spans are excluded. Each blob already carries
 // its own whole-payload checksum (verified by DeserializeCheckpoint), so
-// corruption anywhere is still detected; what the exclusion buys is an
-// O(dirty streams) SaveSnapshot — an unchanged tenant costs one memcpy of
-// its cached blob instead of a re-serialize plus a re-hash of megabytes of
-// parameters.
+// corruption anywhere is still detected; what the exclusion buys is that
+// SaveSnapshot appends each captured blob once and never re-hashes
+// megabytes of parameters.
 //
-// The last-good rollback blob is NOT a separate field: at the snapshot
-// fence every trainer sits at a domain boundary, so its serialized
-// checkpoint IS the last-good state — LoadSnapshot re-seeds each stream's
-// rollback target (and the blob-reuse cache) from the embedded blob.
+// The last-good rollback blob is NOT a separate field: the embedded blob is
+// the stream's state after its consumed domains, which IS its last-good
+// state — LoadSnapshot re-seeds each stream's rollback target from it.
 //
 // Every read is bounds-checked against the remaining payload before
-// allocating, and LoadSnapshot stages the entire engine (streams, trainers,
-// journal) before publishing anything — a corrupt snapshot leaves the
+// allocating, and LoadSnapshot stages the entire engine (streams and
+// trainers) before publishing anything — a corrupt snapshot leaves the
 // target engine with zero streams.
 #include <chrono>
 #include <cstdint>
@@ -63,14 +55,14 @@
 namespace cerl::stream {
 namespace {
 
-constexpr char kMagic[8] = {'C', 'E', 'R', 'L', 'E', 'N', 'G', '4'};
+constexpr char kMagic[8] = {'C', 'E', 'R', 'L', 'E', 'N', 'G', '5'};
 
 // Decode-time sanity caps: generous for any real deployment, small enough
 // that a corrupted count fails fast with a descriptive error instead of an
 // attempted allocation (the byte-level guard is BoundedReader::Require) —
 // and, for the dataset dims, small enough that rows * cols * 8 can never
-// overflow uint64 and defeat that guard. The stream/name/journal caps live
-// in snapfmt (stream_internal.h) because the WAL replay path shares them.
+// overflow uint64 and defeat that guard. The stream/name caps live in
+// snapfmt (stream_internal.h) because the WAL replay path shares them.
 constexpr uint32_t kMaxHiddenLayers = 1u << 10;
 constexpr uint32_t kMaxLayerWidth = 1u << 20;
 constexpr uint32_t kMaxUnits = 1u << 27;
@@ -116,7 +108,7 @@ Status ReadBool(BoundedReader* r, bool* v, const char* what) {
   return Status::Ok();
 }
 
-// --- DataSplit dataset codec (the replay journal) -------------------------
+// --- DataSplit dataset codec (WAL domain records) -------------------------
 
 void WriteDataset(std::string* out, const data::CausalDataset& d) {
   WritePod(out, static_cast<uint32_t>(d.x.rows()));
@@ -175,7 +167,7 @@ Status ReadDataset(BoundedReader* r, data::CausalDataset* d,
     CERL_RETURN_IF_ERROR(r->ReadPod(&b, what));
     if (b > 1) {
       return Status::IoError(std::string(what) +
-                             ": journal treatment is not 0/1");
+                             ": treatment is not 0/1");
     }
     d->t[i] = b;
   }
@@ -185,15 +177,28 @@ Status ReadDataset(BoundedReader* r, data::CausalDataset* d,
   return Status::Ok();
 }
 
+// FNV-1a over `bytes` minus the embedded blob spans (offset, length), in
+// order: the container's metadata checksum.
+uint64_t MetadataHash(std::string_view bytes,
+                      const std::vector<std::pair<size_t, size_t>>& spans) {
+  Fnv1a64Stream hasher;
+  size_t pos = 0;
+  for (const auto& span : spans) {
+    hasher.Update(bytes.substr(pos, span.first - pos));
+    pos = span.first + span.second;
+  }
+  hasher.Update(bytes.substr(pos));
+  return hasher.digest();
+}
+
 }  // namespace
 
 // Shared snapshot/WAL wire codecs (declared in stream_internal.h): the WAL
-// record payloads reuse the config and split codecs verbatim, so a
-// WAL-replayed domain decodes through the same bounds-checked path as a
-// journaled one.
+// registration records reuse the config codec verbatim, and the WAL domain
+// records carry the split codec.
 namespace snapfmt {
 
-// --- CerlConfig codec (fixed field order; the CERLENG4 magic versions it) --
+// --- CerlConfig codec (fixed field order; the CERLENG5 magic versions it) --
 
 void WriteConfig(std::string* out, const core::CerlConfig& c) {
   WriteIntVector(out, c.net.rep_hidden);
@@ -307,206 +312,119 @@ void WriteSplit(std::string* out, const data::DataSplit& split) {
 }
 
 Status ReadSplit(BoundedReader* r, data::DataSplit* split) {
-  CERL_RETURN_IF_ERROR(ReadDataset(r, &split->train, "journal train split"));
-  CERL_RETURN_IF_ERROR(ReadDataset(r, &split->valid, "journal valid split"));
-  CERL_RETURN_IF_ERROR(ReadDataset(r, &split->test, "journal test split"));
+  CERL_RETURN_IF_ERROR(ReadDataset(r, &split->train, "train split"));
+  CERL_RETURN_IF_ERROR(ReadDataset(r, &split->valid, "valid split"));
+  CERL_RETURN_IF_ERROR(ReadDataset(r, &split->test, "test split"));
   return Status::Ok();
 }
 
 }  // namespace snapfmt
 
-Status StreamEngine::SerializeSnapshotLocked(std::string* out,
-                                             SnapshotInfo* info) {
-  out->clear();
-  // Size hint so the fence's dominant cost — appending cached trainer blobs
-  // — is one copy each, not a geometric-growth realloc cascade. Spilled
-  // blobs and journaled splits are fetched later and missing from the
-  // estimate; reserve() is a hint, not a bound.
-  size_t reserve_bytes = 64;
-  for (const auto& s : streams_) {
-    reserve_bytes += s->name.size() + s->last_good.size() + 256;
-  }
-  out->reserve(reserve_bytes);
-  out->append(kMagic, sizeof(kMagic));
-  WritePod(out, static_cast<uint32_t>(pool_.num_threads()));
-  WritePod(out, uint8_t{1});  // reserved
-  // With a WAL attached the journal is elided: every still-queued domain is
-  // already an accepted-domain WAL record, and Recover() replays exactly the
-  // ones at or past each stream's restored completed count. Snapshot size
-  // is then independent of backlog depth.
-  const bool backlog_in_wal = wal_ != nullptr;
-  WritePod(out, static_cast<uint8_t>(backlog_in_wal ? 1 : 0));
-  WritePod(out, static_cast<uint32_t>(streams_.size()));
-  // Byte ranges of the embedded CERLCKP1 blobs, excluded from the trailing
-  // metadata checksum (see the format comment at the top of this file).
-  std::vector<std::pair<size_t, size_t>> blob_spans;
-  blob_spans.reserve(streams_.size());
-  for (const auto& s : streams_) {
-    WritePod(out, static_cast<uint32_t>(s->name.size()));
-    out->append(s->name);
-    WritePod(out, static_cast<uint32_t>(s->input_dim));
-    snapfmt::WriteConfig(out, s->trainer.config());
-    // At the snapshot fence nothing is in flight, so pushed minus queued is
-    // the completed-domain count; restoring it keeps domain indices
-    // continuous across the restart.
-    const uint32_t completed =
-        static_cast<uint32_t>(s->pushed - static_cast<int>(s->queue.size()));
-    WritePod(out, completed);
-    // Health block: a restored engine must keep honoring a quarantine and
-    // must resume a failure streak where it left off — otherwise a restart
-    // would hand a poisoned tenant a fresh error budget.
-    WritePod(out, static_cast<uint8_t>(s->health));
-    WritePod(out, static_cast<uint32_t>(s->consecutive_failures));
-    WritePod(out, static_cast<uint32_t>(s->failed_domains));
-    // Cost-model block: the learned per-stage rates. Persisting them
-    // means a restored backlogged engine schedules with warm estimates from
-    // the first dispatch instead of re-learning under load.
-    s->cost_model.Serialize(out);
-    // Trainer blob, cheapest source first: a spilled stream's state IS its
-    // stored blob (embedding it keeps the snapshot self-contained — restore
-    // never needs the page store); an unchanged resident stream re-embeds
-    // its cached last-good capture; only dirty streams re-serialize.
-    const std::string* blob = nullptr;
-    std::string fetched;
-    if (!s->resident) {
-      if (store_ == nullptr) {
-        return Status::Internal("stream '" + s->name +
-                                "' is spilled but no store is open");
-      }
-      Result<std::string> got = store_->Get(s->id);
-      if (!got.ok()) return got.status();
-      fetched = std::move(got).value();
-      blob = &fetched;
-      if (info != nullptr) ++info->reused_blobs;
-    } else if (s->trainer.stages_seen() > 0) {
-      if (s->last_good_stage == s->trainer.stages_seen() &&
-          !s->last_good.empty()) {
-        blob = &s->last_good;
-        if (info != nullptr) ++info->reused_blobs;
-      } else {
-        // Dirty (stale cache): serialize fresh and refresh the cache — at
-        // the fence this is a domain-boundary state, i.e. exactly the
-        // stream's last-good state.
-        std::string fresh;
-        CERL_RETURN_IF_ERROR(s->trainer.SerializeCheckpoint(&fresh));
-        s->last_good = std::move(fresh);
-        s->last_good_stage = s->trainer.stages_seen();
-        blob = &s->last_good;
-        if (info != nullptr) ++info->dirty_streams;
-      }
-    }
-    WritePod(out, static_cast<uint8_t>(blob != nullptr ? 1 : 0));
-    if (blob != nullptr) {
-      WritePod(out, static_cast<uint64_t>(blob->size()));
-      blob_spans.emplace_back(out->size(), blob->size());
-      out->append(*blob);
-    }
-    // Replay journal: the queue verbatim, in push order (elided when the
-    // backlog lives in the WAL). Validation verdicts are deliberately not
-    // persisted — restore re-runs pre-flight validation on every journaled
-    // domain, so the restored engine enforces exactly the same contract as
-    // the original push.
-    const uint32_t journal_count =
-        backlog_in_wal ? 0u : static_cast<uint32_t>(s->queue.size());
-    WritePod(out, journal_count);
-    if (!backlog_in_wal) {
-      for (const auto& d : s->queue) snapfmt::WriteSplit(out, d->split);
-    }
-  }
-  // Metadata-only trailing checksum: hash everything except the blob spans
-  // (which verify themselves).
-  Fnv1a64Stream hasher;
-  const std::string_view bytes(*out);
-  size_t pos = 0;
-  for (const auto& span : blob_spans) {
-    hasher.Update(bytes.substr(pos, span.first - pos));
-    pos = span.first + span.second;
-  }
-  hasher.Update(bytes.substr(pos));
-  WritePod(out, hasher.digest());
-  return Status::Ok();
-}
-
 Status StreamEngine::SaveSnapshot(const std::string& path,
                                   SnapshotInfo* info) {
-  std::string payload;
-  int fence_num_streams = 0;
+  const std::lock_guard<std::mutex> snapshot_lock(snapshot_mutex_);
+  // Per stream: every field before has_trainer, and the trainer blob.
+  struct Capture {
+    std::string head;
+    std::shared_ptr<const std::string> blob;
+  };
+  std::vector<Capture> captures;
+  std::vector<uint32_t> consumed;
+  SnapshotInfo captured;
   {
-    std::unique_lock<std::mutex> lock(state_mutex_);
-    if (paused_) {
-      return Status::FailedPrecondition("snapshot already in progress");
-    }
-    paused_ = true;
-    // Domain-boundary fence: dispatch is paused, so once every in-flight
-    // pipeline completes, each trainer sits between domains, the queues are
-    // frozen, and the TaskGroups are idle — the workers stay up throughout.
-    // Pending spill tasks are waited out too: SerializeSnapshotLocked must
-    // never serialize a trainer a spill task is concurrently serializing
-    // (and no NEW spill can start while paused_ — spills are only scheduled
-    // by completing pipelines).
-    state_cv_.wait(lock, [this] {
-      for (const auto& s : streams_) {
-        if (s->in_flight != nullptr || s->spilling) return false;
+    const auto capture_start = std::chrono::steady_clock::now();
+    std::lock_guard<std::mutex> lock(state_mutex_);
+    captures.resize(streams_.size());
+    consumed.resize(streams_.size());
+    for (size_t i = 0; i < streams_.size(); ++i) {
+      const StreamState& s = *streams_[i];
+      // The finish task installs last_good and clears in_flight in one
+      // critical section, so the blob below is the state after exactly
+      // the consumed domains.
+      const int pending =
+          static_cast<int>(s.queue.size()) + (s.in_flight != nullptr ? 1 : 0);
+      consumed[i] = static_cast<uint32_t>(s.pushed - pending);
+      captured.pending_domains += pending;
+      captured.completed_domains += s.pushed - pending;
+      std::string* head = &captures[i].head;
+      WritePod(head, static_cast<uint32_t>(s.name.size()));
+      head->append(s.name);
+      WritePod(head, static_cast<uint32_t>(s.input_dim));
+      // The trainer's config is fixed at construction.
+      snapfmt::WriteConfig(head, s.trainer.config());
+      WritePod(head, consumed[i]);
+      // Health block: a restored engine must keep honoring a quarantine and
+      // must resume a failure streak where it left off — otherwise a
+      // restart would hand a poisoned tenant a fresh error budget.
+      WritePod(head, static_cast<uint8_t>(s.health));
+      WritePod(head, static_cast<uint32_t>(s.consecutive_failures));
+      WritePod(head, static_cast<uint32_t>(s.failed_domains));
+      // Cost-model block: a restored backlogged engine schedules with warm
+      // estimates from the first dispatch instead of re-learning under load.
+      s.cost_model.Serialize(head);
+      if (s.resident) {
+        captures[i].blob = s.last_good;  // nullptr while untrained
+        continue;
       }
-      return true;
-    });
-    fence_num_streams = static_cast<int>(streams_.size());
-    if (info != nullptr) {
-      *info = SnapshotInfo();
-      info->num_streams = static_cast<int>(streams_.size());
-      for (const auto& s : streams_) {
-        info->journaled_domains += static_cast<int>(s->queue.size());
-        info->completed_domains +=
-            s->pushed - static_cast<int>(s->queue.size());
+      // A spilled stream's state IS its stored blob (embedding it keeps the
+      // snapshot self-contained — restore never needs the page store). Read
+      // under the lock: a fault-back erases it only in the critical section
+      // that flips `resident`.
+      if (store_ == nullptr) {
+        return Status::Internal("stream '" + s.name +
+                                "' is spilled but no store is open");
       }
+      Result<std::string> got = store_->Get(s.id);
+      if (!got.ok()) return got.status();
+      captures[i].blob =
+          std::make_shared<const std::string>(std::move(got).value());
     }
-    const auto serialize_start = std::chrono::steady_clock::now();
-    Status serialized = SerializeSnapshotLocked(&payload, info);
-    if (info != nullptr) {
-      info->serialize_ms =
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - serialize_start)
-              .count();
-    }
-    if (!serialized.ok()) {
-      paused_ = false;
-      for (auto& s : streams_) MaybeDispatchLocked(s.get());
-      // Notify under the lock (same destructor-vs-notify rule as the
-      // pipeline-completion tasks in stream_engine.cc).
-      state_cv_.notify_all();
-      return serialized;
-    }
+    captured.num_streams = static_cast<int>(streams_.size());
+    captured.serialize_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() -
+                                capture_start)
+                                .count();
   }
-  // The engine state is captured; the (slow) disk write proceeds without the
-  // lock, then dispatch resumes whether or not the write succeeded.
+  if (info != nullptr) *info = captured;
+
+  // Assembled off-lock; sized up front so each blob is copied once.
+  std::string payload;
+  size_t reserve_bytes = 64;
+  for (const Capture& c : captures) {
+    reserve_bytes += c.head.size() + 16 + (c.blob ? c.blob->size() : 0);
+  }
+  payload.reserve(reserve_bytes);
+  payload.append(kMagic, sizeof(kMagic));
+  WritePod(&payload, static_cast<uint32_t>(pool_.num_threads()));
+  WritePod(&payload, static_cast<uint32_t>(captures.size()));
+  std::vector<std::pair<size_t, size_t>> blob_spans;
+  for (const Capture& c : captures) {
+    payload.append(c.head);
+    WritePod(&payload, static_cast<uint8_t>(c.blob != nullptr ? 1 : 0));
+    if (c.blob == nullptr) continue;
+    WritePod(&payload, static_cast<uint64_t>(c.blob->size()));
+    blob_spans.emplace_back(payload.size(), c.blob->size());
+    payload.append(*c.blob);
+  }
+  WritePod(&payload, MetadataHash(payload, blob_spans));
+
   // Transient IO failures (full disk being cleaned up, a flaky network
   // filesystem, the injected kIoWrite fault) are retried with bounded
-  // exponential backoff — the payload is already immutable, so a retry can
-  // never observe different engine state.
+  // exponential backoff — the payload is immutable, so a retry can never
+  // observe different engine state.
   Status written = WriteFileAtomic(path, payload);
   for (int retry = 1; !written.ok() && retry <= kSnapshotIoRetries; ++retry) {
     std::this_thread::sleep_for(std::chrono::milliseconds(BackoffMs(retry)));
     written = WriteFileAtomic(path, payload);
   }
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    if (written.ok() && wal_ != nullptr) {
-      // The published snapshot subsumes every completed domain: shrink the
-      // WAL to the records it does not cover — still-queued domains and
-      // post-fence registrations. paused_ kept every post-fence push in its
-      // queue, and this thread holds state_mutex_ (which serializes WAL
-      // appends), so the rebuilt keep-set is complete. Compaction failure
-      // is non-fatal: the old WAL remains, and replay dedups subsumed
-      // records by domain index.
-      Status compacted = CompactWalLocked(fence_num_streams);
-      if (!compacted.ok()) {
-        CERL_LOG(Warning) << "WAL compaction after snapshot failed (log "
-                          << "keeps full history): " << compacted.ToString();
-      }
+  if (written.ok() && wal_ != nullptr) {
+    // Compaction failure is non-fatal: the old WAL remains, and replay
+    // dedups subsumed records by domain index.
+    Status compacted = CompactWal(consumed);
+    if (!compacted.ok()) {
+      CERL_LOG(Warning) << "WAL compaction after snapshot failed (log "
+                        << "keeps full history): " << compacted.ToString();
     }
-    paused_ = false;
-    for (auto& s : streams_) MaybeDispatchLocked(s.get());
-    state_cv_.notify_all();
   }
   return written;
 }
@@ -514,7 +432,7 @@ Status StreamEngine::SaveSnapshot(const std::string& path,
 Status StreamEngine::LoadSnapshot(const std::string& path) {
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
-    if (paused_ || !streams_.empty()) {
+    if (!streams_.empty()) {
       return Status::FailedPrecondition(
           "LoadSnapshot requires a fresh engine (no streams registered)");
     }
@@ -542,11 +460,7 @@ Status StreamEngine::LoadSnapshot(const std::string& path) {
     return Status::IoError("bad engine snapshot magic");
   }
   uint32_t saved_workers = 0;
-  uint8_t reserved = 0;
-  bool backlog_in_wal = false;
   CERL_RETURN_IF_ERROR(r.ReadPod(&saved_workers, "worker count"));
-  CERL_RETURN_IF_ERROR(r.ReadPod(&reserved, "reserved byte"));
-  CERL_RETURN_IF_ERROR(ReadBool(&r, &backlog_in_wal, "backlog flag"));
   uint32_t num_streams = 0;
   CERL_RETURN_IF_ERROR(r.ReadPod(&num_streams, "stream count"));
   if (num_streams > snapfmt::kMaxStreams) {
@@ -558,7 +472,6 @@ Status StreamEngine::LoadSnapshot(const std::string& path) {
   // built (and trainers restored) into a local vector, so any failure below
   // leaves this engine with zero streams.
   std::vector<std::unique_ptr<StreamState>> staged;
-  std::vector<std::vector<data::DataSplit>> journals(num_streams);
   std::vector<std::pair<size_t, size_t>> blob_spans;
   staged.reserve(num_streams);
   for (uint32_t i = 0; i < num_streams; ++i) {
@@ -629,24 +542,11 @@ Status StreamEngine::LoadSnapshot(const std::string& path) {
       std::string blob(static_cast<size_t>(blob_len), '\0');
       CERL_RETURN_IF_ERROR(r.ReadRaw(blob.data(), blob_len, "trainer blob"));
       CERL_RETURN_IF_ERROR(state->trainer.DeserializeCheckpoint(blob));
-      // The fence guarantees the blob is a domain-boundary state, so it
-      // doubles as the restored stream's last-good rollback target and
-      // blob-reuse cache.
-      state->last_good = std::move(blob);
-      state->last_good_stage = state->trainer.stages_seen();
+      // The blob is the state after the consumed domains, so it doubles as
+      // the restored stream's last-good rollback target.
+      state->last_good = std::make_shared<const std::string>(std::move(blob));
     }
     state->pushed = static_cast<int>(completed);
-
-    uint32_t journal_count = 0;
-    CERL_RETURN_IF_ERROR(r.ReadPod(&journal_count, "journal count"));
-    if (journal_count > snapfmt::kMaxJournal) {
-      return Status::IoError("implausible journal count " +
-                             std::to_string(journal_count));
-    }
-    journals[i].resize(journal_count);
-    for (uint32_t j = 0; j < journal_count; ++j) {
-      CERL_RETURN_IF_ERROR(snapfmt::ReadSplit(&r, &journals[i][j]));
-    }
     staged.push_back(std::move(state));
   }
   if (r.remaining() != 0) {
@@ -657,28 +557,14 @@ Status StreamEngine::LoadSnapshot(const std::string& path) {
   // (each blob verified its own checksum in DeserializeCheckpoint above).
   // Runs before anything is committed, so a corrupt container still leaves
   // the engine with zero streams.
-  Fnv1a64Stream hasher;
-  size_t pos = 0;
-  for (const auto& span : blob_spans) {
-    hasher.Update(payload.substr(pos, span.first - pos));
-    pos = span.first + span.second;
-  }
-  hasher.Update(payload.substr(pos));
-  if (hasher.digest() != stored_hash) {
+  if (MetadataHash(payload, blob_spans) != stored_hash) {
     return Status::IoError(
         "engine snapshot: checksum mismatch (corrupted file)");
-  }
-  if (backlog_in_wal && wal_ == nullptr) {
-    CERL_LOG(Warning)
-        << "snapshot was written with a WAL attached (its backlog lives "
-        << "there) but this engine has none open — queued-but-untrained "
-        << "domains from the saved engine will not be replayed; use "
-        << "Recover() with the matching wal_path";
   }
 
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
-    if (paused_ || !streams_.empty()) {
+    if (!streams_.empty()) {
       return Status::FailedPrecondition(
           "engine changed while LoadSnapshot was parsing");
     }
@@ -686,24 +572,9 @@ Status StreamEngine::LoadSnapshot(const std::string& path) {
   }
   // Re-publish the serving plane: a restored trained stream is queryable
   // immediately (version restarts at 1 — publish sequence numbers are
-  // engine-lifetime, not durable). Runs before journal replay so queries
+  // engine-lifetime, not durable). Runs before any WAL replay, so queries
   // never race the rebuilt trainers.
   for (auto& state : streams_) PublishSnapshot(state.get());
-  // Replay the journal: queued-but-untrained work resumes exactly where the
-  // saved engine left it (re-validated and dispatched normally). The
-  // admission-free internal push is deliberate — these domains were already
-  // admitted by the saved engine, so queue bounds do not re-apply, and a
-  // quarantined stream's journal drains through the pipeline as
-  // kUnavailable drops instead of being silently lost here. When THIS
-  // engine has a WAL open (a snapshot written without one carried a journal
-  // into a WAL-enabled engine), the internal push re-logs each domain —
-  // harmless: a later Recover() skips records below the restored completed
-  // count.
-  for (uint32_t i = 0; i < num_streams; ++i) {
-    for (data::DataSplit& split : journals[i]) {
-      PushDomainInternal(streams_[i].get(), std::move(split));
-    }
-  }
   return Status::Ok();
 }
 

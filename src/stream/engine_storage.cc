@@ -2,27 +2,29 @@
 // tenants through storage::TenantStore, the accepted-domain write-ahead log,
 // and WAL-based crash recovery (see README "Storage engine & durability").
 //
-// Division of labor with engine_checkpoint.cc: the checkpoint file is the
-// O(dirty) bulk state (trainer blobs + counters at a fence), the WAL is the
-// between-snapshots delta (stream registrations and accepted domains, logged
-// on arrival under state_mutex_ so log order == push order). Recover() is
-// LoadSnapshot + replay of exactly the WAL records the snapshot does not
-// subsume, filtered per stream by domain index — the log needs no global
-// sequence numbers.
+// Division of labor with engine_checkpoint.cc: the checkpoint file holds
+// consumed state only (per stream, the trainer blob after its consumed
+// domains, plus counters). The WAL is the only store of accepted domains
+// that are not consumed yet: stream registrations and accepted domains,
+// logged on arrival under state_mutex_ so log order == push order.
+// Recover() is LoadSnapshot + replay of exactly the WAL records the
+// snapshot does not subsume, filtered per stream by domain index — the log
+// needs no global sequence numbers.
 //
 // Spill correctness: a spill task runs ON the victim stream's TaskGroup, so
 // it is serialized against that stream's stage pipeline. A push racing the
 // spill lands its ingest task BEHIND the spill task on the group; the spill
 // re-checks idleness under state_mutex_ and aborts if the queue is no longer
 // empty, and the ingest stage faults the blob back in before the first
-// trainer touch. The snapshot fence additionally waits out in-flight spill
-// tasks (StreamState::spilling), so SerializeSnapshotLocked never races a
-// spill's trainer serialization.
+// trainer touch. A spill stores the stream's last_good blob, so it never
+// serializes the trainer itself.
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <istream>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -40,9 +42,8 @@
 namespace cerl::stream {
 namespace {
 
-// --- WAL record payload codecs (reuse the snapshot's config/split wire
-// format, so a WAL-replayed domain decodes through the same bounds-checked
-// path as a journaled one) -------------------------------------------------
+// --- WAL record payload codecs (the snapshot's bounds-checked config codec,
+// plus the split codec) ------------------------------------------------------
 
 // kWalAddStream payload: u32 stream_id, u32 name_len, name bytes,
 // u32 input_dim, CerlConfig block.
@@ -202,26 +203,28 @@ Status StreamEngine::Recover(const std::string& snapshot_path) {
         break;
       }
       StreamState* s = streams_[id].get();
-      int pushed = 0;
-      {
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        pushed = s->pushed;
-      }
-      // Per-stream index filter (this is what makes compaction, snapshot
-      // overlap, and re-logged snapshot journals all safe): a record below
-      // the stream's push counter is subsumed — already trained into the
+      std::lock_guard<std::mutex> lock(state_mutex_);
+      // Per-stream index filter (this is what makes compaction and records
+      // logged after the snapshot's capture both safe): a record below the
+      // stream's push counter is subsumed — already consumed into the
       // restored trainer blob or already re-enqueued — and skipped; the
       // record AT the counter is the next accepted domain and replays; a
       // record past it means accepted domains are missing from the log.
-      if (domain_index < static_cast<uint32_t>(pushed)) continue;
-      if (domain_index > static_cast<uint32_t>(pushed)) {
+      const auto next = static_cast<uint32_t>(s->pushed);
+      if (domain_index < next) continue;
+      if (domain_index > next) {
         replayed = Status::IoError(
             "WAL gap: stream " + std::to_string(id) + " expects domain " +
-            std::to_string(pushed) + " next but the log holds " +
+            std::to_string(next) + " next but the log holds " +
             std::to_string(domain_index));
         break;
       }
-      PushDomainInternal(s, std::move(split));
+      // Admission-free: the saved engine already admitted this domain, so
+      // queue bounds do not re-apply, and a quarantined stream sheds it
+      // through the pipeline with kUnavailable. EnqueueLocked logs nothing.
+      auto owned = std::make_unique<PendingDomain>();
+      owned->split = std::move(split);
+      EnqueueLocked(s, std::move(owned));
     } else {
       replayed = Status::IoError("unknown WAL record type " +
                                  std::to_string(rec.type));
@@ -259,31 +262,20 @@ Status StreamEngine::WalLogDomainLocked(const StreamState& s,
                           static_cast<uint32_t>(domain_index), split));
 }
 
-Status StreamEngine::CompactWalLocked(int fence_num_streams) {
-  std::vector<storage::Wal::Record> keep;
-  for (size_t i = 0; i < streams_.size(); ++i) {
-    const StreamState& s = *streams_[i];
-    if (static_cast<int>(i) >= fence_num_streams) {
-      // Registered after the fence: the snapshot predates this stream, so
-      // its registration (and, below, its queued domains) must survive.
-      keep.push_back(
-          {snapfmt::kWalAddStream,
-           EncodeAddStreamPayload(static_cast<uint32_t>(i), s.name,
-                                  static_cast<uint32_t>(s.input_dim),
-                                  s.trainer.config())});
-    }
-    // Still-queued domains in queue order, with their assigned indices.
-    // paused_ has kept every post-fence push in its queue (nothing is
-    // in_flight), so the queues ARE the complete unsubsumed backlog.
-    for (const auto& d : s.queue) {
-      keep.push_back(
-          {snapfmt::kWalDomain,
-           EncodeDomainPayload(static_cast<uint32_t>(i),
-                               static_cast<uint32_t>(d->domain_index),
-                               d->split)});
-    }
-  }
-  return wal_->Compact(keep);
+Status StreamEngine::CompactWal(const std::vector<uint32_t>& consumed) {
+  // Keeps the registrations of streams the snapshot predates and, per
+  // captured stream, the domains at or past its consumed count. Records
+  // appended after the capture pass by construction: their stream id or
+  // domain index is at least the captured one.
+  return wal_->Compact([&consumed](uint32_t type, std::string_view payload) {
+    uint32_t id = 0, index = 0;
+    if (payload.size() < sizeof(id) + sizeof(index)) return true;
+    std::memcpy(&id, payload.data(), sizeof(id));
+    if (id >= consumed.size()) return true;
+    if (type != snapfmt::kWalDomain) return false;
+    std::memcpy(&index, payload.data() + sizeof(id), sizeof(index));
+    return index >= consumed[id];
+  });
 }
 
 Status StreamEngine::EnsureResident(int id) {
@@ -307,25 +299,22 @@ Status StreamEngine::EnsureResidentOnGroup(StreamState* s) {
   }
   Result<std::string> got = store_->Get(s->id);
   if (!got.ok()) return got.status();
-  std::string blob = std::move(got).value();
+  auto blob = std::make_shared<const std::string>(std::move(got).value());
   // The trainer was Reset() by the spill; restore is the same rebuild path
   // a rollback uses. Runs off-lock: the caller is on the stream's group (or
-  // owns a drained stream), which serializes all trainer access, and the
-  // snapshot fence cannot be serializing concurrently (it waits out the
-  // in-flight pipeline this fault-back is part of).
+  // owns a drained stream), which serializes all trainer access.
   s->trainer.Reset();
-  CERL_RETURN_IF_ERROR(s->trainer.DeserializeCheckpoint(blob));
+  CERL_RETURN_IF_ERROR(s->trainer.DeserializeCheckpoint(*blob));
   // Only a successfully restored blob leaves the store (a failed restore
-  // keeps it for the next attempt / the next snapshot).
-  (void)store_->Erase(s->id);
+  // keeps it for the next attempt / the next snapshot). The erase, the
+  // flip and the install share one critical section, so a snapshot
+  // capture finds the blob in the store or in last_good, never in neither.
   std::lock_guard<std::mutex> lock(state_mutex_);
+  (void)store_->Erase(s->id);
   s->resident = true;
   ++s->fault_backs;
   s->touch_tick = ++storage_tick_;
-  // The blob is a domain-boundary state: re-seed the rollback target and
-  // the snapshot blob cache, exactly as LoadSnapshot does.
   s->last_good = std::move(blob);
-  s->last_good_stage = s->trainer.stages_seen();
   return Status::Ok();
 }
 
@@ -336,13 +325,12 @@ void StreamEngine::MaybeScheduleSpillsLocked() {
     if (s->resident) ++resident;
   }
   while (resident > options_.max_resident_streams) {
-    // LRU victim among idle, trained, not-already-spilling streams. Reading
-    // stages_seen() here is race-free: a stream with no in-flight domain
-    // and no pending spill has no task touching its trainer.
+    // LRU victim among idle, trained (last_good set), not-already-spilling
+    // streams.
     StreamState* victim = nullptr;
     for (const auto& s : streams_) {
       if (!s->resident || s->spilling || s->in_flight != nullptr ||
-          !s->queue.empty() || s->trainer.stages_seen() <= 0) {
+          !s->queue.empty() || s->last_good == nullptr) {
         continue;
       }
       if (victim == nullptr || s->touch_tick < victim->touch_tick) {
@@ -360,39 +348,28 @@ void StreamEngine::MaybeScheduleSpillsLocked() {
 }
 
 void StreamEngine::SpillOnGroup(StreamState* s) {
-  std::string blob;
-  bool use_cache = false;
+  std::shared_ptr<const std::string> blob;
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
     // Re-check idleness: a domain pushed between scheduling and now makes
     // the spill pointless (its ingest would immediately fault back).
     if (!s->resident || s->in_flight != nullptr || !s->queue.empty() ||
-        s->trainer.stages_seen() <= 0) {
+        s->last_good == nullptr) {
       s->spilling = false;
       state_cv_.notify_all();
       return;
     }
-    use_cache = s->last_good_stage == s->trainer.stages_seen() &&
-                !s->last_good.empty();
-    if (use_cache) blob = s->last_good;
+    blob = s->last_good;
   }
-  Status stored = Status::Ok();
-  if (!use_cache) {
-    // Serialize off-lock: the group serializes trainer access, and the
-    // snapshot fence waits out this task via the spilling flag.
-    stored = s->trainer.SerializeCheckpoint(&blob);
-  }
-  if (stored.ok()) stored = store_->Put(s->id, blob);
+  // Store off-lock: until the flip below, a snapshot capture still takes
+  // last_good, and the stored blob is the same bytes.
+  const Status stored = store_->Put(s->id, *blob);
   std::lock_guard<std::mutex> lock(state_mutex_);
   if (stored.ok()) {
     s->trainer.Reset();
     s->resident = false;
     ++s->spills;
-    // The cache would be dead weight next to a reset trainer — the stored
-    // blob is now the canonical copy (fault-back re-seeds the cache).
-    s->last_good.clear();
-    s->last_good.shrink_to_fit();
-    s->last_good_stage = -1;
+    s->last_good.reset();  // the stored blob is now the canonical copy
   } else {
     // Spill failure is not a stream failure: the tenant simply stays
     // resident (the budget is best-effort under storage errors).
@@ -401,8 +378,8 @@ void StreamEngine::SpillOnGroup(StreamState* s) {
                       << stored.ToString();
   }
   s->spilling = false;
-  // Notify INSIDE the lock (destructor-vs-notify rule): Drain and the
-  // snapshot fence wait on the spilling flag.
+  // Notify INSIDE the lock (destructor-vs-notify rule): Drain waits on the
+  // spilling flag.
   state_cv_.notify_all();
 }
 

@@ -118,7 +118,7 @@ Status StreamEngine::PushDomain(int id, data::DataSplit split) {
   // that admits (log order == push order), and a failed append REJECTS the
   // push — the caller must never believe a domain is recoverable when it is
   // not. EnqueueLocked below assigns this domain index (s.pushed).
-  if (wal_ != nullptr && !wal_replaying_) {
+  if (wal_ != nullptr) {
     Status logged = WalLogDomainLocked(s, s.pushed, owned->split);
     if (!logged.ok()) {
       return Status::IoError("domain rejected: WAL append failed: " +
@@ -127,26 +127,6 @@ Status StreamEngine::PushDomain(int id, data::DataSplit split) {
   }
   EnqueueLocked(&s, std::move(owned));
   return Status::Ok();
-}
-
-void StreamEngine::PushDomainInternal(StreamState* s, data::DataSplit split) {
-  auto owned = std::make_unique<PendingDomain>();
-  owned->split = std::move(split);
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  // Re-log the journal of a snapshot written without a WAL into this
-  // engine's WAL (those domains were accepted by the saved engine and must
-  // stay recoverable). Suppressed during Recover()'s own replay; a failure
-  // here cannot reject — the domain is already admitted — so it degrades to
-  // a warning.
-  if (wal_ != nullptr && !wal_replaying_) {
-    Status logged = WalLogDomainLocked(*s, s->pushed, owned->split);
-    if (!logged.ok()) {
-      CERL_LOG(Warning) << "stream '" << s->name
-                        << "': journaled domain not re-logged to WAL: "
-                        << logged.ToString();
-    }
-  }
-  EnqueueLocked(s, std::move(owned));
 }
 
 void StreamEngine::EnqueueLocked(StreamState* s,
@@ -182,7 +162,7 @@ void StreamEngine::EnqueueLocked(StreamState* s,
 }
 
 void StreamEngine::MaybeDispatchLocked(StreamState* s) {
-  if (paused_ || s->in_flight != nullptr || s->queue.empty()) return;
+  if (s->in_flight != nullptr || s->queue.empty()) return;
   s->in_flight = std::move(s->queue.front());
   s->queue.pop_front();
   SubmitAttemptLocked(s);
@@ -314,6 +294,14 @@ void StreamEngine::SubmitAttemptLocked(StreamState* s) {
         if (!health.ok()) throw StatusError(health);
       });
     }
+    // The new rollback target and snapshot blob, captured outside the
+    // engine lock (the group serializes all trainer access). A failed
+    // capture fails the attempt like any stage: installing nothing would
+    // leave last_good behind the consumed-domain count.
+    auto last_good = std::make_shared<std::string>();
+    if (d->failure.ok()) {
+      d->failure = sp->trainer.SerializeCheckpoint(last_good.get());
+    }
     if (!d->failure.ok()) {
       HandleFailure(sp, d);
       return;
@@ -332,18 +320,6 @@ void StreamEngine::SubmitAttemptLocked(StreamState* s) {
         static_cast<int>(test.mu0.size()) == test.num_units()) {
       result.has_metrics = true;
       result.metrics = sp->trainer.Evaluate(test);
-    }
-    // Capture the new last-good rollback boundary outside the engine lock
-    // (the group serializes all trainer access). Doubles as the snapshot
-    // blob cache. On the vanishingly unlikely serialize failure the
-    // previous boundary stays in place — a stale rollback target beats
-    // none (and the stale cache is rejected by its stage tag).
-    std::string last_good;
-    int last_good_stage = -1;
-    if (sp->trainer.SerializeCheckpoint(&last_good).ok()) {
-      last_good_stage = sp->trainer.stages_seen();
-    } else {
-      last_good.clear();
     }
     // Publish the new domain boundary to the serving plane, still outside
     // the engine lock (the group serializes the trainer; readers swap in
@@ -364,10 +340,9 @@ void StreamEngine::SubmitAttemptLocked(StreamState* s) {
       if (sp->health == StreamHealth::kDegraded) {
         SetHealth(sp, StreamHealth::kHealthy);
       }
-      if (!last_good.empty()) {
-        sp->last_good = std::move(last_good);
-        sp->last_good_stage = last_good_stage;
-      }
+      // Installed together with the in_flight reset below: a snapshot
+      // capture sees the blob and the consumed count move as one.
+      sp->last_good = std::move(last_good);
       // Raw domain data and stage scratch are dead weight once migrated —
       // long-lived tenant streams must not accumulate covariates (the same
       // accessibility criterion the trainer upholds for its memory). The
@@ -396,11 +371,11 @@ void StreamEngine::HandleFailure(StreamState* sp, PendingDomain* d) {
     // advanced stages_seen_ (and TrainStage may have poisoned parameters),
     // so the restore is what makes a retry replay the IDENTICAL stage:
     // stage seeds derive from stages_seen_, which the rollback rewinds.
-    // last_good is only written at domain boundaries under state_mutex_ and
-    // only read here on the stream's serialized group, so the read is safe.
+    // last_good is only replaced by tasks on this stream's serialized
+    // group, so reading it here needs no lock.
     sp->trainer.Reset();
-    if (!sp->last_good.empty()) {
-      Status restored = sp->trainer.DeserializeCheckpoint(sp->last_good);
+    if (sp->last_good != nullptr) {
+      Status restored = sp->trainer.DeserializeCheckpoint(*sp->last_good);
       if (!restored.ok()) {
         // The rollback target itself failed to restore: the stream's state
         // is unrecoverable in place. Drop the domain and let the health
@@ -419,7 +394,7 @@ void StreamEngine::HandleFailure(StreamState* sp, PendingDomain* d) {
   // domain parks on the pool's timer heap and the worker returns to serving
   // other streams; when the deadline fires, the attempt is resubmitted onto
   // the stream's (idle) strand. The domain stays in_flight throughout, so
-  // Drain and the snapshot fence keep waiting it out exactly as before.
+  // Drain keeps waiting it out and a snapshot keeps it in the WAL backlog.
   if (!d->terminal && d->attempt < options_.max_domain_retries) {
     const Status failure = d->failure;
     ++d->attempt;
@@ -581,7 +556,6 @@ StreamSchedStats StreamEngine::TotalSchedStats() const {
 void StreamEngine::Drain() {
   std::unique_lock<std::mutex> lock(state_mutex_);
   state_cv_.wait(lock, [this] {
-    if (paused_) return false;  // snapshot fence first, then keep draining
     for (const auto& s : streams_) {
       // A pending spill task also counts as in-flight work: the destructor
       // relies on Drain leaving no task that could touch engine state (the
@@ -600,9 +574,8 @@ Status StreamEngine::DrainStream(int id) {
   }
   StreamState& s = *streams_[id];
   std::unique_lock<std::mutex> lock(state_mutex_);
-  state_cv_.wait(lock, [this, &s] {
-    return !paused_ && s.in_flight == nullptr && s.queue.empty() &&
-           !s.spilling;
+  state_cv_.wait(lock, [&s] {
+    return s.in_flight == nullptr && s.queue.empty() && !s.spilling;
   });
   return Status::Ok();
 }

@@ -254,8 +254,7 @@ class StreamEngine {
   /// domain's pre-flight validation starts on the shared pool, and the
   /// domain joins the stream's queue — its ingest -> train -> migrate
   /// pipeline is dispatched onto the stream's task group as soon as the
-  /// previous domain completes (one pipeline in flight per stream, so a
-  /// snapshot can fence at a domain boundary and journal the rest).
+  /// previous domain completes (one pipeline in flight per stream).
   /// A rejected push leaves no trace: no result slot, no domain index.
   /// Malformed domains are accepted here and dropped by the pipeline with
   /// the validation error recorded in their DomainResult — data-dependent
@@ -349,48 +348,40 @@ class StreamEngine {
 
   // --- Snapshot / restore (engine_checkpoint.cc) ------------------------
 
-  /// What a SaveSnapshot captured (filled at the snapshot fence).
+  /// What a SaveSnapshot captured.
   struct SnapshotInfo {
     int num_streams = 0;
-    int completed_domains = 0;  ///< fully trained+migrated, summed
-    int journaled_domains = 0;  ///< queued-but-untrained, summed
-    /// Streams whose trainer blob had to be re-serialized at the fence
-    /// (changed since the last capture).
-    int dirty_streams = 0;
-    /// Streams whose blob was reused: memcpy of the cached capture, or a
-    /// page-store read for a spilled stream. dirty + reused + untrained
-    /// streams = num_streams.
-    int reused_blobs = 0;
-    /// Wall milliseconds spent building the container under the fence —
-    /// the O(dirty) work the storage engine bounds (file write excluded;
-    /// the snapshot bench gates on this).
+    int completed_domains = 0;  ///< consumed (trained or dropped), summed
+    /// Accepted but not consumed (queued plus in flight), summed. They are
+    /// not in the container: the WAL holds them.
+    int pending_domains = 0;
+    /// Wall milliseconds the capture held the engine lock (the container
+    /// assembly and the file write run after it, off-lock).
     double serialize_ms = 0.0;
   };
 
-  /// Drain-consistent snapshot of the ENTIRE engine under load: pauses
-  /// dispatch, waits for every stream's in-flight domain pipeline to reach
-  /// its domain boundary (workers stay up; queued domains stay queued; a
-  /// domain mid-retry resolves — succeeds or drops — before the fence),
-  /// writes a CERLENG4 container — per-stream name / config /
-  /// completed-domain counter / health state (health, consecutive
-  /// failures, dropped-domain total), learned stage cost rates, each
-  /// stream's embedded CERLCKP1 trainer blob, and a replay journal of the
-  /// still-queued domains (elided when a WAL holds them) so pushed work is
-  /// never lost — then resumes dispatch. The write is crash-safe (temp
-  /// file + fsync + atomic rename), carries a checksum, and transient IO
-  /// failures are retried three times with bounded exponential backoff.
-  /// Concurrent PushDomain is safe: a push lands either in the journal or
-  /// in the resumed queue.
+  /// Snapshot of the ENTIRE engine under load, without pausing it. A short
+  /// capture under the engine lock records, per stream, its name / config
+  /// / consumed-domain counter / health state (health, consecutive
+  /// failures, dropped-domain total), learned stage cost rates, and a
+  /// reference to its CERLCKP1 trainer blob after exactly those domains
+  /// (its last-good blob, or the stored blob of a spilled stream). No
+  /// pipeline is waited for and no trainer is touched. The CERLENG5
+  /// container is then assembled and written off-lock: crash-safe (temp
+  /// file + fsync + atomic rename), checksummed, and retried three times
+  /// with bounded exponential backoff on transient IO failures. With a WAL
+  /// attached, the log is then compacted to the records the container
+  /// does not subsume. Accepted domains that are not consumed yet live
+  /// only in the WAL: without one, a snapshot holds consumed state only.
+  /// Concurrent calls run one at a time.
   Status SaveSnapshot(const std::string& path, SnapshotInfo* info = nullptr);
 
-  /// Rebuilds a saved CERLENG4 engine into THIS engine, which must be
+  /// Rebuilds a saved CERLENG5 engine into THIS engine, which must be
   /// freshly constructed (no streams registered): re-creates every stream
   /// from its serialized config, restores each trainer bit-identically
-  /// (re-seeding its last-good rollback blob), restores health/quarantine
-  /// state and cost-model rates, and re-enqueues the journaled domains in
-  /// their original order (training resumes immediately on the engine's
-  /// workers; a quarantined stream's journal drains through the pipeline
-  /// as kUnavailable drops, exactly as it would have in the saved engine).
+  /// (re-seeding its last-good rollback blob), and restores health /
+  /// quarantine state and cost-model rates. Nothing is queued afterwards:
+  /// Recover() replays the pending domains from the WAL.
   /// Worker count and scheduling policy stay as THIS engine was
   /// constructed — they are runtime choices, not durable state. Per-domain
   /// results of the saved engine are not restored (stats are transient
@@ -445,19 +436,12 @@ class StreamEngine {
   StreamState& stream(int id);
   const StreamState& stream(int id) const;
 
-  /// Admission-free push used by LoadSnapshot's journal replay and
-  /// Recover's WAL replay: these domains were already admitted by the saved
-  /// engine, so they re-enter the queue regardless of queue bounds or
-  /// quarantine (the pipeline then sheds a quarantined stream's domains
-  /// with kUnavailable).
-  void PushDomainInternal(StreamState* s, data::DataSplit split);
-
   /// Queues an admitted domain, kicks off its pre-flight validation, and
   /// dispatches if the stream is idle. Caller holds state_mutex_.
   void EnqueueLocked(StreamState* s, std::unique_ptr<PendingDomain> domain);
 
-  /// Starts the next queued domain's stage pipeline if the stream is idle
-  /// and dispatch is not paused. Caller holds state_mutex_.
+  /// Starts the next queued domain's stage pipeline if the stream is idle.
+  /// Caller holds state_mutex_.
   void MaybeDispatchLocked(StreamState* s);
 
   /// Submits the in-flight domain's ingest/train/finish stage tasks onto
@@ -508,11 +492,6 @@ class StreamEngine {
   /// Builds the stats snapshot of one stream. Caller holds state_mutex_.
   StreamSchedStats SchedStatsLocked(const StreamState& s) const;
 
-  /// Builds the CERLENG4 payload. Caller holds state_mutex_ with dispatch
-  /// paused and no in-flight domains (SaveSnapshot's boundary wait).
-  /// Fills the blob-reuse counters of `info` when non-null.
-  Status SerializeSnapshotLocked(std::string* out, SnapshotInfo* info);
-
   // --- Storage plane internals (engine_storage.cc) ----------------------
 
   /// Logs a stream registration / accepted domain to the WAL (no-op when
@@ -522,10 +501,9 @@ class StreamEngine {
   Status WalLogDomainLocked(const StreamState& s, int domain_index,
                             const data::DataSplit& split);
 
-  /// Rewrites the WAL down to the records the just-written snapshot does
-  /// not subsume (still-queued domains and post-fence registrations).
-  /// Caller holds state_mutex_ — pushes cannot append concurrently.
-  Status CompactWalLocked(int fence_num_streams);
+  /// Rewrites the WAL down to the records a just-written snapshot does not
+  /// subsume, given each captured stream's consumed-domain count.
+  Status CompactWal(const std::vector<uint32_t>& consumed);
 
   /// Fault-back body: restores the stream's trainer from the page store.
   /// Must run where the trainer is externally serialized (the stream's
@@ -539,9 +517,8 @@ class StreamEngine {
   void MaybeScheduleSpillsLocked();
 
   /// Spill-task body, running on the victim's group: re-checks idleness,
-  /// serializes the trainer (or reuses the cached last-good blob), stores
-  /// the blob, and resets the trainer. Clears StreamState::spilling and
-  /// notifies state_cv_ on every path.
+  /// stores the stream's last-good blob, and resets the trainer. Clears
+  /// StreamState::spilling and notifies state_cv_ on every path.
   void SpillOnGroup(StreamState* s);
 
   StreamEngineOptions options_;
@@ -550,12 +527,14 @@ class StreamEngine {
   WorkStealingPool pool_;
   std::vector<std::unique_ptr<StreamState>> streams_;
 
-  /// Guards stream queues / in-flight flags / results / health and the
-  /// pause state; state_cv_ signals pipeline completions and pause
-  /// transitions. Mutable so the const health accessors can lock it.
+  /// Guards stream queues / in-flight flags / results / health;
+  /// state_cv_ signals pipeline and spill completions. Mutable so the
+  /// const health accessors can lock it.
   mutable std::mutex state_mutex_;
   std::condition_variable state_cv_;
-  bool paused_ = false;  ///< snapshot in progress: no new dispatches
+  /// Held for a whole SaveSnapshot, so that each WAL compaction follows its
+  /// own container's write and precedes any newer capture's.
+  std::mutex snapshot_mutex_;
 
   /// Guards the context registry only — context creation and stats
   /// aggregation, never the query hot path.
@@ -570,7 +549,7 @@ class StreamEngine {
   std::unique_ptr<storage::BufferPool> buffer_pool_;
   std::unique_ptr<storage::TenantStore> store_;
   std::unique_ptr<storage::Wal> wal_;
-  /// True while Recover() feeds WAL records back through the push path —
+  /// True while Recover() replays WAL registrations through AddStream —
   /// suppresses re-logging them. Only touched single-threaded (Recover
   /// runs on a fresh engine before concurrent use).
   bool wal_replaying_ = false;

@@ -92,9 +92,8 @@ struct StreamEngine::StreamState {
 
   // Domain-boundary dispatch (guarded by the engine's state_mutex_): pushed
   // domains wait in `queue`; exactly one domain owns the stage pipeline at a
-  // time (`in_flight`). This is what gives SaveSnapshot a consistent fence —
-  // waiting out one pipeline per stream reaches a state where every trainer
-  // sits between domains and the queue is exactly the work to journal.
+  // time (`in_flight`). pushed - queue.size() - (in_flight ? 1 : 0) is the
+  // consumed-domain count that `last_good` reflects.
   std::deque<std::unique_ptr<PendingDomain>> queue;
   std::unique_ptr<PendingDomain> in_flight;
   std::vector<DomainResult> results;
@@ -106,23 +105,23 @@ struct StreamEngine::StreamState {
   int consecutive_failures = 0;  ///< dropped domains in a row
   int failed_domains = 0;        ///< dropped domains, lifetime total
 
-  // Serialized trainer state (CERLCKP1) at the last successful domain
-  // boundary — the rollback target for health-guard failures AND the
-  // snapshot blob cache (O(dirty) snapshots re-embed it instead of
-  // re-serializing an unchanged trainer). Captured by the finish task
-  // after every successful domain; read by HandleFailure / the spill task
-  // on the same stream's group (serialized), so access needs no extra lock
-  // beyond state_mutex_ for the capture.
-  std::string last_good;
-  /// trainer.stages_seen() at the moment last_good was captured; -1 when
-  /// the cache is absent or stale. The currency check for blob reuse.
-  int last_good_stage = -1;
+  // Serialized trainer state (CERLCKP1) after the consumed domains, while
+  // the stream is resident and trained (nullptr otherwise): the rollback
+  // target of a failed attempt and the blob a snapshot embeds. Replaced
+  // under state_mutex_ only by tasks on the stream's group (finish task,
+  // fault-back, spill) or a single-threaded restore, so the group may read
+  // it off-lock; a snapshot capture takes it under the lock with one
+  // refcount bump.
+  std::shared_ptr<const std::string> last_good;
 
   // --- Paged tenant-state storage (engine_storage.cc; guarded by the
   // engine's state_mutex_) ----------------------------------------------
   /// Live trainer state is in RAM. False = spilled: the trainer is reset
   /// and the CERLCKP1 blob lives in the tenant store until the next
-  /// pushed domain (or EnsureResident) faults it back.
+  /// pushed domain (or EnsureResident) faults it back. A spill stores the
+  /// blob before it clears the flag; a fault-back erases the blob in the
+  /// critical section that sets it. A snapshot capture therefore always
+  /// finds the blob where this flag says.
   bool resident = true;
   /// A spill task is queued on this stream's group and has not resolved.
   bool spilling = false;
@@ -145,16 +144,15 @@ struct StreamEngine::StreamState {
   std::atomic<uint8_t> health_mirror{0};
 };
 
-// Snapshot wire codecs shared by engine_checkpoint.cc (CERLENG containers)
-// and engine_storage.cc (WAL record payloads reuse the config and split
-// codecs verbatim, so a WAL-replayed domain decodes through the same
-// bounds-checked path as a journaled one). Defined in engine_checkpoint.cc.
+// Wire codecs shared by engine_checkpoint.cc (CERLENG containers) and
+// engine_storage.cc (WAL record payloads reuse the config codec verbatim,
+// and carry each domain through the split codec). Defined in
+// engine_checkpoint.cc.
 namespace snapfmt {
 
 // Decode-time sanity caps (see engine_checkpoint.cc for the rationale).
 inline constexpr uint32_t kMaxStreams = 1u << 16;
 inline constexpr uint32_t kMaxNameLen = 1u << 12;
-inline constexpr uint32_t kMaxJournal = 1u << 20;
 
 void WriteConfig(std::string* out, const core::CerlConfig& c);
 Status ReadConfig(BoundedReader* r, core::CerlConfig* c);

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -256,9 +257,9 @@ TEST_F(ChaosSoakTest, TransientFaultRecoversBitIdentically) {
                              domains[0].test.x, "transient");
 }
 
-// A snapshot taken while chaos is in progress must restore with the health
-// plane intact: the quarantined tenant stays quarantined (and still rejects
-// pushes), the healthy tenant continues bit-identically.
+// A snapshot taken while chaos is in progress must recover, with the WAL,
+// with the health plane intact: the quarantined tenant stays quarantined
+// (and still rejects pushes), the healthy tenant continues bit-identically.
 TEST_F(ChaosSoakTest, MidChaosSnapshotRestoresHealthIntact) {
   const int kPreDomains = 2;   // before the snapshot
   const int kPostDomains = 1;  // after the restore
@@ -271,6 +272,9 @@ TEST_F(ChaosSoakTest, MidChaosSnapshotRestoresHealthIntact) {
   options.num_workers = 2;
   options.max_domain_retries = 1;
   options.quarantine_after_failures = 2;
+  StreamEngineOptions wal_options = options;
+  wal_options.wal_path = ::testing::TempDir() + "/chaos_mid.wal";
+  std::remove(wal_options.wal_path.c_str());
 
   // Fault-free reference for the healthy tenant only.
   StreamEngine reference(options);
@@ -285,7 +289,8 @@ TEST_F(ChaosSoakTest, MidChaosSnapshotRestoresHealthIntact) {
                               /*seed=*/31);
   const std::string path = ::testing::TempDir() + "/chaos_mid.snap";
   {
-    StreamEngine original(options);
+    StreamEngine original(wal_options);
+    ASSERT_TRUE(original.OpenStorage().ok());
     const int good = original.AddStream("tenant-good", good_config,
                                         kFeatures);
     const int sick = original.AddStream("tenant-sick", sick_config,
@@ -294,21 +299,21 @@ TEST_F(ChaosSoakTest, MidChaosSnapshotRestoresHealthIntact) {
       ASSERT_TRUE(original.PushDomain(good, good_domains[d]).ok());
       (void)original.PushDomain(sick, sick_domains[d]);
     }
-    // Snapshot WITH the faults still armed and work possibly queued: the
-    // fence waits out in-flight attempts (including their retries) and
-    // journals the rest.
+    // Snapshot WITH the faults still armed and work possibly queued or
+    // mid-retry: the capture takes each stream's consumed state, and the
+    // WAL keeps the rest.
     ASSERT_TRUE(original.SaveSnapshot(path).ok());
     original.Drain();
     ASSERT_EQ(original.health(sick), StreamHealth::kQuarantined);
   }
 
-  // "New process": faults disarmed, snapshot restored. Whatever of the
-  // sick tenant's history was journaled replays cleanly now — but its
+  // "New process": faults disarmed, snapshot + WAL recovered. Whatever of
+  // the sick tenant's history was pending replays cleanly now — but its
   // PERSISTED health must dominate: a stream snapshotted as quarantined
   // must come back quarantined even though the fault is gone.
   FaultInjector::Global().Reset();
-  StreamEngine restored(options);
-  ASSERT_TRUE(restored.LoadSnapshot(path).ok());
+  StreamEngine restored(wal_options);
+  ASSERT_TRUE(restored.Recover(path).ok());
   restored.Drain();
   ASSERT_EQ(restored.num_streams(), 2);
 
@@ -319,7 +324,8 @@ TEST_F(ChaosSoakTest, MidChaosSnapshotRestoresHealthIntact) {
     EXPECT_EQ(restored.PushDomain(sick, good_domains[0]).code(),
               StatusCode::kUnavailable);
   }
-  // The healthy tenant continues exactly where the snapshot fenced it.
+  // The healthy tenant continues exactly where the snapshot and the WAL
+  // left it.
   EXPECT_EQ(restored.health(good), StreamHealth::kHealthy);
   for (int d = kPreDomains; d < kPreDomains + kPostDomains; ++d) {
     ASSERT_TRUE(restored.PushDomain(good, good_domains[d]).ok());

@@ -1,4 +1,4 @@
-// Corruption robustness of the CERLCKP1 trainer checkpoint and the CERLENG4
+// Corruption robustness of the CERLCKP1 trainer checkpoint and the CERLENG5
 // engine snapshot: programmatic truncation at EVERY byte offset and byte
 // flips across header/dims/blob regions must all come back as clean Status
 // errors — no crash, no OOM-sized allocation, and no partial mutation of the
@@ -71,8 +71,8 @@ const std::string& ValidTrainerPayload() {
   return *payload;
 }
 
-// A 2-stream engine snapshot with one trained domain and one journaled
-// domain per stream (built once per suite).
+// A 2-stream engine snapshot with at least one trained domain per stream
+// (built once per suite).
 const std::string& ValidEnginePayload() {
   static const std::string* payload = [] {
     stream::StreamEngineOptions options;
@@ -89,7 +89,7 @@ const std::string& ValidEnginePayload() {
     engine.PushDomain(b, splits_b[1]);
     // Snapshot immediately: domain 2 of each stream is typically still
     // queued or in flight; either way the container is structurally full
-    // (trainer blobs + possibly a journal), which is all this suite needs.
+    // (every stream carries a trainer blob), which is all this suite needs.
     const std::string path = ::testing::TempDir() + "/corrupt_engine.snap";
     Status s = engine.SaveSnapshot(path);
     CERL_CHECK_MSG(s.ok(), s.ToString().c_str());
@@ -217,7 +217,7 @@ Status ExpectEngineRejects(stream::StreamEngine* engine,
   return s;
 }
 
-// CERLENG4 verifies its metadata checksum only after the parse, and the
+// CERLENG5 verifies its metadata checksum only after the parse, and the
 // whole-payload hash Refinalized() appends matches no engine container — so
 // a structural case must be rejected by its own validator first. Were that
 // validator deleted, the checksum would still reject the file and hide it.
@@ -269,19 +269,19 @@ TEST(CheckpointCorruptionTest, EngineStructuralCorruptionsBehindChecksum) {
 
   // Bad magic.
   ExpectEngineValidatorRejects(&engine, Refinalized("Y" + payload.substr(1)));
-  // Absurd stream count (offset 8+4+1+1 = 14: workers u32, reserved u8,
-  // backlog-in-wal u8 — the CERLENG4 header).
+  // Absurd stream count (offset 8+4 = 12: magic, then workers u32 — the
+  // CERLENG5 header).
   {
     std::string p = payload;
     const uint32_t huge = 0x7fffffff;
-    std::memcpy(p.data() + 14, &huge, 4);
+    std::memcpy(p.data() + 12, &huge, 4);
     ExpectEngineValidatorRejects(&engine, Refinalized(p));
   }
-  // Absurd stream-name length (first stream's name_len at offset 18).
+  // Absurd stream-name length (first stream's name_len at offset 16).
   {
     std::string p = payload;
     const uint32_t huge = 0x00ffffff;
-    std::memcpy(p.data() + 18, &huge, 4);
+    std::memcpy(p.data() + 16, &huge, 4);
     ExpectEngineValidatorRejects(&engine, Refinalized(p));
   }
   // Truncations with recomputed checksums: bounds checks must fire.

@@ -1,10 +1,11 @@
-// Tests for StreamEngine::SaveSnapshot / LoadSnapshot: drain-consistent
-// multi-stream checkpoints taken UNDER LOAD (domains still queued), bitwise
-// continuation after restore (journal replay included), fresh-engine
-// preconditions, and all-or-nothing restore on bad input.
+// Tests for StreamEngine::SaveSnapshot / LoadSnapshot: multi-stream
+// snapshots taken UNDER LOAD without pausing the engine (domains still
+// queued or training), bitwise continuation after snapshot + WAL recovery,
+// fresh-engine preconditions, and all-or-nothing restore on bad input.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -13,6 +14,7 @@
 #include "core/cerl_trainer.h"
 #include "data/dataset.h"
 #include "stream/stream_engine.h"
+#include "util/binary_io.h"
 #include "util/fault_injection.h"
 #include "util/rng.h"
 
@@ -27,6 +29,12 @@ using linalg::Matrix;
 using linalg::Vector;
 
 constexpr int kFeatures = 8;
+
+std::string TempPath(const std::string& name) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::remove(path.c_str());
+  return path;
+}
 
 CausalDataset ShiftedToy(Rng* rng, int n, double shift) {
   CausalDataset d;
@@ -91,10 +99,11 @@ void ExpectTrainersBitIdentical(CerlTrainer* a, CerlTrainer* b,
   EXPECT_EQ(a->memory().t(), b->memory().t()) << tag;
 }
 
-// The acceptance scenario: a 4-stream engine is snapshotted WHILE domains
-// are still queued (non-empty journal), restored into a fresh engine, and
-// the continuation — journal replay plus one extra pushed domain per stream
-// — must be bitwise identical to the uninterrupted run.
+// The acceptance scenario: a WAL-attached 4-stream engine is snapshotted
+// WHILE domains are still queued or training, recovered into a fresh engine
+// from the snapshot plus the WAL, and the continuation — WAL replay plus
+// one extra pushed domain per stream — must be bitwise identical to the
+// uninterrupted run.
 TEST(EngineCheckpointTest, FourStreamSnapshotUnderLoadContinuesBitIdentical) {
   const int kStreams = 4;
   const int kSnapshotDomains = 4;  // pushed before the snapshot
@@ -122,12 +131,15 @@ TEST(EngineCheckpointTest, FourStreamSnapshotUnderLoadContinuesBitIdentical) {
   reference.Drain();
 
   // Snapshotted run: push the first kSnapshotDomains of every stream, then
-  // snapshot immediately — training a domain takes far longer than reaching
-  // the snapshot fence, so most of the queue must land in the journal.
-  const std::string path = ::testing::TempDir() + "/engine_underload.snap";
+  // snapshot immediately — training a domain takes far longer than the
+  // capture, so most of the pushed domains must still be pending in it.
+  const std::string path = TempPath("engine_underload.snap");
+  StreamEngineOptions wal_options = options;
+  wal_options.wal_path = TempPath("engine_underload.wal");
   StreamEngine::SnapshotInfo info;
   {
-    StreamEngine original(options);
+    StreamEngine original(wal_options);
+    ASSERT_TRUE(original.OpenStorage().ok());
     std::vector<int> ids;
     for (int s = 0; s < kStreams; ++s) {
       ids.push_back(original.AddStream("tenant-" + std::to_string(s),
@@ -137,20 +149,20 @@ TEST(EngineCheckpointTest, FourStreamSnapshotUnderLoadContinuesBitIdentical) {
       }
     }
     ASSERT_TRUE(original.SaveSnapshot(path, &info).ok());
-    // The acceptance criterion requires the journal-replay path to be
-    // exercised: work must still have been queued at the fence.
-    ASSERT_GT(info.journaled_domains, 0);
+    // The WAL-replay path must be exercised: work must still have been
+    // pending at the capture.
+    ASSERT_GT(info.pending_domains, 0);
     EXPECT_EQ(info.num_streams, kStreams);
-    EXPECT_EQ(info.completed_domains + info.journaled_domains,
+    EXPECT_EQ(info.completed_domains + info.pending_domains,
               kStreams * kSnapshotDomains);
     // The original engine keeps serving after the snapshot.
     original.Drain();
   }
 
-  // Restore into a fresh engine ("new process"), let the journal replay,
-  // push the remaining domains, and compare against the reference.
-  StreamEngine restored(options);
-  ASSERT_TRUE(restored.LoadSnapshot(path).ok());
+  // Recover into a fresh engine ("new process"), let the WAL replay, push
+  // the remaining domains, and compare against the reference.
+  StreamEngine restored(wal_options);
+  ASSERT_TRUE(restored.Recover(path).ok());
   ASSERT_EQ(restored.num_streams(), kStreams);
   for (int s = 0; s < kStreams; ++s) {
     EXPECT_EQ(restored.name(s), "tenant-" + std::to_string(s));
@@ -164,8 +176,8 @@ TEST(EngineCheckpointTest, FourStreamSnapshotUnderLoadContinuesBitIdentical) {
     ExpectTrainersBitIdentical(&reference.trainer(ref_ids[s]),
                                &restored.trainer(s), domains[s][0].test.x,
                                "stream " + std::to_string(s));
-    // Domain indices continue across the restart: the journaled and
-    // newly pushed domains carry their original positions.
+    // Domain indices continue across the restart: the replayed and newly
+    // pushed domains carry their original positions.
     const std::vector<DomainResult>& results = restored.results(s);
     ASSERT_FALSE(results.empty());
     EXPECT_EQ(results.back().domain_index,
@@ -188,12 +200,12 @@ TEST(EngineCheckpointTest, DrainedSnapshotRoundTripsAndKeepsServing) {
   const std::string path = ::testing::TempDir() + "/engine_drained.snap";
   StreamEngine::SnapshotInfo info;
   ASSERT_TRUE(original.SaveSnapshot(path, &info).ok());
-  EXPECT_EQ(info.journaled_domains, 0);
+  EXPECT_EQ(info.pending_domains, 0);
   EXPECT_EQ(info.completed_domains, 2);
 
   StreamEngine restored(options);
   ASSERT_TRUE(restored.LoadSnapshot(path).ok());
-  restored.Drain();  // empty journal: immediately idle
+  restored.Drain();  // nothing is queued after a restore: immediately idle
   ExpectTrainersBitIdentical(&original.trainer(id), &restored.trainer(0),
                              domains[0].test.x, "drained");
 
@@ -326,9 +338,11 @@ TEST(EngineCheckpointTest, SaveSnapshotRetriesTransientIoFailure) {
   EXPECT_EQ(exhausted.code(), StatusCode::kIoError);
 }
 
-// Blob reuse: a stream whose trainer is unchanged since its last blob
-// capture is embedded from the cache (reused), not re-serialized (dirty).
-TEST(EngineCheckpointTest, SnapshotInfoCountsReusedAndDirtyBlobs) {
+// The container embeds each stream's last-good capture, taken by the finish
+// task at its domain boundary: every restored trainer re-serializes to
+// exactly the live drained trainer's bytes, and an untrained stream
+// carries no blob.
+TEST(EngineCheckpointTest, SnapshotEmbedsLastGoodCaptures) {
   const int kStreams = 3;
   StreamEngineOptions options;
   options.num_workers = 2;
@@ -345,23 +359,14 @@ TEST(EngineCheckpointTest, SnapshotInfoCountsReusedAndDirtyBlobs) {
   }
   engine.Drain();
 
-  // The finish task captured every trainer's blob at its domain boundary,
-  // so the fence re-serializes nothing — and a second fence with nothing
-  // retrained reuses every blob again.
   const std::string path = ::testing::TempDir() + "/engine_reuse.snap";
   StreamEngine::SnapshotInfo info;
   ASSERT_TRUE(engine.SaveSnapshot(path, &info).ok());
   EXPECT_EQ(info.num_streams, kStreams + 1);
-  EXPECT_EQ(info.reused_blobs, kStreams);
-  EXPECT_EQ(info.dirty_streams, 0);
+  EXPECT_EQ(info.completed_domains, kStreams);
+  EXPECT_EQ(info.pending_domains, 0);
   EXPECT_GE(info.serialize_ms, 0.0);
-  StreamEngine::SnapshotInfo again;
-  ASSERT_TRUE(engine.SaveSnapshot(path, &again).ok());
-  EXPECT_EQ(again.reused_blobs, kStreams);
-  EXPECT_EQ(again.dirty_streams, 0);
 
-  // The cached blob IS the fence-time serialization: every restored
-  // trainer re-serializes to exactly the live drained trainer's bytes.
   StreamEngine restored(options);
   ASSERT_TRUE(restored.LoadSnapshot(path).ok());
   for (int s = 0; s < kStreams; ++s) {
@@ -370,6 +375,57 @@ TEST(EngineCheckpointTest, SnapshotInfoCountsReusedAndDirtyBlobs) {
     ASSERT_TRUE(restored.trainer(s).SerializeCheckpoint(&back).ok());
     EXPECT_EQ(live, back) << "stream " << s;
   }
+  EXPECT_EQ(restored.trainer(kStreams).stages_seen(), 0);
+}
+
+// A snapshot neither pauses dispatch nor waits for the in-flight domain: it
+// captures the consumed state and returns while the domain still trains.
+// The WAL holds the pending domain, and snapshot + WAL recover the live
+// trainer byte for byte.
+TEST(EngineCheckpointTest, SnapshotDoesNotWaitForInFlightDomain) {
+  CerlConfig config = FastConfig(141);
+  config.train.epochs = 40;
+  config.train.patience = 40;
+  const std::vector<DataSplit> small = MakeStream(53, 1, 0.0);
+  Rng rng(54);
+  // Domain 1 is large and long-trained: it takes well over 200 ms, far
+  // longer than a capture, a file write and a WAL compaction.
+  const DataSplit slow = data::SplitDataset(ShiftedToy(&rng, 2000, 0.5), &rng);
+  StreamEngineOptions options;
+  options.num_workers = 2;
+  options.wal_path = TempPath("engine_nowait.wal");
+  const std::string path = TempPath("engine_nowait.snap");
+
+  StreamEngine live(options);
+  ASSERT_TRUE(live.OpenStorage().ok());
+  const int id = live.AddStream("nowait", config, kFeatures);
+  ASSERT_TRUE(live.PushDomain(id, small[0]).ok());
+  live.Drain();
+  ASSERT_TRUE(live.PushDomain(id, slow).ok());
+  StreamEngine::SnapshotInfo info;
+  ASSERT_TRUE(live.SaveSnapshot(path, &info).ok());
+  EXPECT_EQ(info.completed_domains, 1);
+  EXPECT_EQ(info.pending_domains, 1);
+  EXPECT_EQ(live.sched_stats(id).queue_depth, 1)
+      << "SaveSnapshot waited for the in-flight domain";
+  live.Drain();
+
+  // The live engine keeps its WAL open: recover from a copy, as a restarted
+  // process would find it on disk.
+  const std::string wal_copy = TempPath("engine_nowait_copy.wal");
+  Result<std::string> wal_bytes = ReadFileToString(options.wal_path);
+  ASSERT_TRUE(wal_bytes.ok()) << wal_bytes.status().ToString();
+  ASSERT_TRUE(WriteFileAtomic(wal_copy, wal_bytes.value()).ok());
+  StreamEngineOptions recover_options = options;
+  recover_options.wal_path = wal_copy;
+  StreamEngine recovered(recover_options);
+  ASSERT_TRUE(recovered.Recover(path).ok());
+  recovered.Drain();
+  std::string want, got;
+  ASSERT_TRUE(live.trainer(id).SerializeCheckpoint(&want).ok());
+  ASSERT_TRUE(recovered.trainer(0).SerializeCheckpoint(&got).ok());
+  EXPECT_EQ(recovered.trainer(0).stages_seen(), 2);
+  EXPECT_TRUE(want == got) << "recovered trainer differs from the live one";
 }
 
 TEST(EngineCheckpointTest, SnapshotWriteIsAtomic) {

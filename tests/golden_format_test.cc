@@ -1,4 +1,4 @@
-// Golden-format compatibility: small CERLCKP1 / CERLENG4 fixtures and a WAL
+// Golden-format compatibility: small CERLCKP1 / CERLENG5 fixtures and a WAL
 // are committed under tests/testdata/ and every build must keep loading them
 // bit-identically (PredictIte parity against committed hexfloat values).
 // This freezes every on-disk format the engine writes — an accidental
@@ -163,9 +163,8 @@ void RegenerateTrainerFixture(Vector* expected_ite) {
   *expected_ite = trainer.PredictIte(ProbeInputs());
 }
 
-// Builds the golden engine state: 2 streams; each has one trained domain
-// and one journaled domain (pushed back-to-back, so domain 0 is in flight
-// and domain 1 is still queued when the snapshot fence lands).
+// Builds the golden engine state: 2 streams with two trained domains each,
+// snapshotted after Drain() so the container holds both consumed domains.
 void RegenerateEngineFixture(Vector* expected_a, Vector* expected_b) {
   stream::StreamEngineOptions options;
   options.num_workers = 2;
@@ -180,18 +179,15 @@ void RegenerateEngineFixture(Vector* expected_a, Vector* expected_b) {
   engine.PushDomain(a, splits_a[1]);
   engine.PushDomain(b, splits_b[0]);
   engine.PushDomain(b, splits_b[1]);
-  stream::StreamEngine::SnapshotInfo info;
-  ASSERT_TRUE(engine.SaveSnapshot(EngineFixture(), &info).ok());
-  // The fixture must exercise the journal codec.
-  ASSERT_GT(info.journaled_domains, 0) << "regen raced: rerun";
+  engine.Drain();
+  ASSERT_TRUE(engine.SaveSnapshot(EngineFixture()).ok());
 
-  // Expected values come from REPLAYING the fixture, so verification does
-  // not depend on this process's engine continuing.
-  stream::StreamEngine replay(options);
-  ASSERT_TRUE(replay.LoadSnapshot(EngineFixture()).ok());
-  replay.Drain();
-  *expected_a = replay.trainer(0).PredictIte(ProbeInputs());
-  *expected_b = replay.trainer(1).PredictIte(ProbeInputs());
+  // Expected values come from LOADING the fixture, so verification does
+  // not depend on this process's engine.
+  stream::StreamEngine loaded(options);
+  ASSERT_TRUE(loaded.LoadSnapshot(EngineFixture()).ok());
+  *expected_a = loaded.trainer(0).PredictIte(ProbeInputs());
+  *expected_b = loaded.trainer(1).PredictIte(ProbeInputs());
 }
 
 const char* const kWalStreamNames[] = {"wal-a", "wal-b", "wal-c"};
@@ -225,10 +221,9 @@ void RecoverWalFixture(std::vector<Vector>* ites) {
 }
 
 // Builds the golden WAL-attached engine state. The snapshot lands right
-// after Drain(), so it carries backlog_in_wal = 1, no journal, and no race;
-// compaction then leaves the WAL empty. The WAL tail logs one more domain
-// per stream plus a third stream's registration and first domain, so it
-// holds both record types.
+// after Drain(), so nothing is pending and compaction leaves the WAL empty.
+// The WAL tail logs one more domain per stream plus a third stream's
+// registration and first domain, so it holds both record types.
 void RegenerateWalFixture(std::vector<Vector>* expected) {
   std::remove(WalFixture().c_str());
   auto splits_a = GoldenStreamData(2, 3004);
@@ -287,7 +282,7 @@ TEST(GoldenFormatTest, TrainerFixtureLoadsBitIdentically) {
                 "golden trainer");
 }
 
-TEST(GoldenFormatTest, EngineFixtureLoadsAndReplaysBitIdentically) {
+TEST(GoldenFormatTest, EngineFixtureLoadsBitIdentically) {
   ScalarKernelGuard scalar_guard;
   const std::vector<Vector> expected = ReadExpected();
   stream::StreamEngineOptions options;
@@ -298,9 +293,6 @@ TEST(GoldenFormatTest, EngineFixtureLoadsAndReplaysBitIdentically) {
   ASSERT_EQ(engine.num_streams(), 2);
   EXPECT_EQ(engine.name(0), "golden-a");
   EXPECT_EQ(engine.name(1), "golden-b");
-  // Journal replay is part of the frozen semantics: draining trains the
-  // journaled domain of each stream, deterministically.
-  engine.Drain();
   EXPECT_EQ(engine.trainer(0).stages_seen(), 2);
   EXPECT_EQ(engine.trainer(1).stages_seen(), 2);
   ExpectExactly(engine.trainer(0).PredictIte(ProbeInputs()), expected[1],
@@ -309,16 +301,16 @@ TEST(GoldenFormatTest, EngineFixtureLoadsAndReplaysBitIdentically) {
                 "golden engine stream b");
 }
 
-// Pins the WAL record format (both record types) and the WAL-attached
-// CERLENG4 header: Recover() replays the WAL tail over the snapshot.
+// Pins the WAL record format (both record types) and a WAL-attached
+// engine's CERLENG5 container: Recover() replays the WAL tail over the
+// snapshot.
 TEST(GoldenFormatTest, WalFixtureRecoversBitIdentically) {
   ScalarKernelGuard scalar_guard;
   const std::vector<Vector> expected = ReadExpected();
   Result<std::string> snap = ReadFileToString(WalSnapshotFixture());
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-  ASSERT_GT(snap.value().size(), 14u);
-  EXPECT_EQ(snap.value().substr(0, 8), "CERLENG4");
-  EXPECT_EQ(snap.value()[13], 1) << "backlog_in_wal flag";
+  ASSERT_GT(snap.value().size(), 8u);
+  EXPECT_EQ(snap.value().substr(0, 8), "CERLENG5");
   std::vector<Vector> ites;
   RecoverWalFixture(&ites);
   ASSERT_EQ(ites.size(), 3u);

@@ -461,13 +461,17 @@ TEST(SchedulerEngineTest, StolenStagesAreBitIdenticalToSerial) {
   options.schedule_policy = stream::SchedulePolicy::kCostAware;
   stream::StreamEngine engine(options);
 
-  const int kStreams = 3;  // homes 0, 1, 2 — one per worker
-  const int domains_per_stream[kStreams] = {6, 1, 1};
+  // Homes 0, 1, 2, 0: two heavy streams share worker 0. Whenever one of
+  // them has a stage queued while worker 0 trains the other, an idle worker
+  // must steal it — so steals do not hinge on the light streams' timing.
+  const int kStreams = 4;
+  const int domains_per_stream[kStreams] = {6, 1, 1, 6};
   std::vector<std::vector<data::DataSplit>> streams(kStreams);
   for (int s = 0; s < kStreams; ++s) {
+    const bool heavy = domains_per_stream[s] > 1;
     Rng rng(40 + s);
     for (int d = 0; d < domains_per_stream[s]; ++d) {
-      streams[s].push_back(ToyDomain(&rng, s == 0 ? 250 : 40, 0.1 * d));
+      streams[s].push_back(ToyDomain(&rng, heavy ? 250 : 40, 0.1 * d));
     }
   }
 
@@ -483,8 +487,6 @@ TEST(SchedulerEngineTest, StolenStagesAreBitIdenticalToSerial) {
   }
   engine.Drain();
 
-  // Workers 1 and 2 run out of home work almost immediately; stream 0's
-  // remaining stages get stolen.
   EXPECT_GT(engine.steal_count(), 0);
 
   for (int s = 0; s < kStreams; ++s) {

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/cerl_trainer.h"
@@ -133,6 +134,37 @@ TEST(WalRecoveryTest, ReopenRecoversAppendedRecords) {
     EXPECT_EQ(wal.value()->recovered()[i].type, records[i].type) << i;
     EXPECT_EQ(wal.value()->recovered()[i].payload, records[i].payload) << i;
   }
+}
+
+// Compact keeps exactly the records its predicate accepts, byte for byte
+// and in log order, and the log stays appendable afterwards.
+TEST(WalRecoveryTest, CompactKeepsAcceptedRecordsVerbatim) {
+  const std::string path = TempPath("wal_compact_raw.wal");
+  const std::vector<Wal::Record> records = TestRecords();
+  {
+    auto wal = Wal::Open(path, {});
+    ASSERT_TRUE(wal.ok());
+    for (const Wal::Record& r : records) {
+      ASSERT_TRUE(wal.value()->Append(r.type, r.payload).ok());
+    }
+    ASSERT_TRUE(wal.value()
+                    ->Compact([](uint32_t type, std::string_view) {
+                      return type == 2;
+                    })
+                    .ok());
+    ASSERT_TRUE(wal.value()->Append(9, "after").ok());
+    EXPECT_EQ(wal.value()->size_bytes(),
+              static_cast<uint64_t>(ReadFileToString(path).value().size()));
+  }
+  auto wal = Wal::Open(path, {});
+  ASSERT_TRUE(wal.ok());
+  EXPECT_EQ(wal.value()->truncated_bytes(), 0u);
+  const std::vector<Wal::Record>& kept = wal.value()->recovered();
+  ASSERT_EQ(kept.size(), 3u);
+  EXPECT_EQ(kept[0].payload, records[1].payload);
+  EXPECT_EQ(kept[1].payload, records[3].payload);
+  EXPECT_EQ(kept[2].type, 9u);
+  EXPECT_EQ(kept[2].payload, "after");
 }
 
 // Torn tail at EVERY byte offset: for each prefix length of the log file,
