@@ -19,6 +19,8 @@ namespace {
 using Ctx = Tape::BackwardCtx;
 using linalg::Gemm;
 using linalg::Trans;
+using linalg::simd::EwFwd;
+using linalg::simd::EwGrad;
 
 Tape* SameTape(Var a, Var b) {
   CERL_CHECK(a.valid() && b.valid());
@@ -120,44 +122,51 @@ void ScalarAddBackward(Tape* t, int self, const Ctx& ctx) {
   t->GradRef(ctx.a).Add(t->GradRef(self));
 }
 
-// Elementwise unary ops are instantiated per forward function so it
-// inlines into the loop. The derivative formulas live in the SIMD kernel
+// Elementwise unary ops. The derivative formulas live in the SIMD kernel
 // layer (linalg::simd::EwGrad documents each expression), selected here by
 // tag: the backward pass `ga += g * dfdx(x, y)` runs through the dispatched
 // ew_backward kernel, which is plain elementwise arithmetic and therefore
 // bitwise identical between the scalar and AVX2 tables.
-// kFwdTag selects the dispatched ew_forward kernel for ops whose forward
-// is plain arithmetic or IEEE-exact (relu/reciprocal/sqrt/square/abs);
-// transcendental forwards pass -1 and keep the scalar libm loop, since a
-// vectorized approximation would change their bits.
-template <double (*Fwd)(double), linalg::simd::EwGrad kGrad, int kFwdTag = -1>
-struct EwOp {
-  static void Backward(Tape* t, int self, const Ctx& ctx) {
-    if (!t->RequiresGrad(ctx.a)) return;
-    const Matrix& g = t->GradRef(self);
-    linalg::simd::Kernels().ew_backward(
-        static_cast<int>(kGrad), g.data(), t->ValueOf(ctx.a).data(),
-        t->ValueOf(self).data(), t->GradRef(ctx.a).data(), g.size());
-  }
+template <EwGrad kGrad>
+void EwBackward(Tape* t, int self, const Ctx& ctx) {
+  if (!t->RequiresGrad(ctx.a)) return;
+  const Matrix& g = t->GradRef(self);
+  linalg::simd::Kernels().ew_backward(
+      static_cast<int>(kGrad), g.data(), t->ValueOf(ctx.a).data(),
+      t->ValueOf(self).data(), t->GradRef(ctx.a).data(), g.size());
+}
 
-  static Var Apply(Var a) {
-    Tape* tape = a.tape();
-    Ctx ctx;
-    ctx.a = a.id();
-    Matrix* out = nullptr;
-    Var v = tape->NewNode(a.rows(), a.cols(), &Backward, ctx, &out);
-    const Matrix& av = tape->ValueOf(ctx.a);
-    if constexpr (kFwdTag >= 0) {
-      linalg::simd::Kernels().ew_forward(kFwdTag, av.data(), out->data(),
-                                         av.size());
-    } else {
-      for (int64_t i = 0; i < av.size(); ++i) {
-        out->data()[i] = Fwd(av.data()[i]);
-      }
-    }
-    return v;
-  }
-};
+// Records an elementwise node of `a`; *out is the node's value buffer.
+template <EwGrad kGrad>
+Var NewEwNode(Var a, Matrix** out) {
+  Ctx ctx;
+  ctx.a = a.id();
+  return a.tape()->NewNode(a.rows(), a.cols(), &EwBackward<kGrad>, ctx, out);
+}
+
+// Forward through the dispatched ew_forward kernel: each op is one
+// FMA-free expression that both tables evaluate to identical bits at every
+// array position, elu and tanh included (within 2 and 4 ulp of libm; see
+// linalg::simd::EwFwd).
+template <EwGrad kGrad>
+Var KernelOp(Var a, EwFwd fwd) {
+  Matrix* out = nullptr;
+  Var v = NewEwNode<kGrad>(a, &out);
+  const Matrix& in = a.value();
+  linalg::simd::Kernels().ew_forward(static_cast<int>(fwd), in.data(),
+                                     out->data(), in.size());
+  return v;
+}
+
+// Sigmoid, exp and log have no kernel and stay on a scalar libm loop.
+template <EwGrad kGrad, double (*Fwd)(double)>
+Var LibmOp(Var a) {
+  Matrix* out = nullptr;
+  Var v = NewEwNode<kGrad>(a, &out);
+  const Matrix& in = a.value();
+  for (int64_t i = 0; i < in.size(); ++i) out->data()[i] = Fwd(in.data()[i]);
+  return v;
+}
 
 void SumBackward(Tape* t, int self, const Ctx& ctx) {
   if (!t->RequiresGrad(ctx.a)) return;
@@ -222,18 +231,11 @@ void GatherRowsBackward(Tape* t, int self, const Ctx& ctx) {
   }
 }
 
-// The forward functions. Each op's derivative formula is the matching
+// The libm forwards. Each op's derivative formula is the matching
 // linalg::simd::EwGrad entry (see simd.h); keep the two in sync.
-double ReciprocalFwd(double x) { return 1.0 / x; }
-double ReluFwd(double x) { return x > 0.0 ? x : 0.0; }
-double EluFwd(double x) { return x > 0.0 ? x : std::expm1(x); }
-double TanhFwd(double x) { return std::tanh(x); }
 double SigmoidFwd(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 double ExpFwd(double x) { return std::exp(x); }
 double LogFwd(double x) { return std::log(x); }
-double SqrtFwd(double x) { return std::sqrt(x); }
-double SquareFwd(double x) { return x * x; }
-double AbsFwd(double x) { return std::fabs(x); }
 
 }  // namespace
 
@@ -366,30 +368,27 @@ Var ScalarAdd(Var a, double k) {
   return v;
 }
 
-Var Reciprocal(Var a) { return EwOp<&ReciprocalFwd, linalg::simd::EwGrad::kReciprocal,
-                 static_cast<int>(linalg::simd::EwFwd::kReciprocal)>::Apply(a); }
+Var Reciprocal(Var a) {
+  return KernelOp<EwGrad::kReciprocal>(a, EwFwd::kReciprocal);
+}
 
-Var Relu(Var a) { return EwOp<&ReluFwd, linalg::simd::EwGrad::kRelu,
-                 static_cast<int>(linalg::simd::EwFwd::kRelu)>::Apply(a); }
+Var Relu(Var a) { return KernelOp<EwGrad::kRelu>(a, EwFwd::kRelu); }
 
-Var Elu(Var a) { return EwOp<&EluFwd, linalg::simd::EwGrad::kElu>::Apply(a); }
+Var Elu(Var a) { return KernelOp<EwGrad::kElu>(a, EwFwd::kElu); }
 
-Var Tanh(Var a) { return EwOp<&TanhFwd, linalg::simd::EwGrad::kTanh>::Apply(a); }
+Var Tanh(Var a) { return KernelOp<EwGrad::kTanh>(a, EwFwd::kTanh); }
 
-Var Sigmoid(Var a) { return EwOp<&SigmoidFwd, linalg::simd::EwGrad::kSigmoid>::Apply(a); }
+Var Sigmoid(Var a) { return LibmOp<EwGrad::kSigmoid, &SigmoidFwd>(a); }
 
-Var Exp(Var a) { return EwOp<&ExpFwd, linalg::simd::EwGrad::kExp>::Apply(a); }
+Var Exp(Var a) { return LibmOp<EwGrad::kExp, &ExpFwd>(a); }
 
-Var Log(Var a) { return EwOp<&LogFwd, linalg::simd::EwGrad::kLog>::Apply(a); }
+Var Log(Var a) { return LibmOp<EwGrad::kLog, &LogFwd>(a); }
 
-Var Sqrt(Var a) { return EwOp<&SqrtFwd, linalg::simd::EwGrad::kSqrt,
-                 static_cast<int>(linalg::simd::EwFwd::kSqrt)>::Apply(a); }
+Var Sqrt(Var a) { return KernelOp<EwGrad::kSqrt>(a, EwFwd::kSqrt); }
 
-Var Square(Var a) { return EwOp<&SquareFwd, linalg::simd::EwGrad::kSquare,
-                 static_cast<int>(linalg::simd::EwFwd::kSquare)>::Apply(a); }
+Var Square(Var a) { return KernelOp<EwGrad::kSquare>(a, EwFwd::kSquare); }
 
-Var Abs(Var a) { return EwOp<&AbsFwd, linalg::simd::EwGrad::kAbs,
-                 static_cast<int>(linalg::simd::EwFwd::kAbs)>::Apply(a); }
+Var Abs(Var a) { return KernelOp<EwGrad::kAbs>(a, EwFwd::kAbs); }
 
 Var Sum(Var a) {
   Tape* tape = a.tape();

@@ -22,25 +22,46 @@ const KernelSet* Avx2KernelSet();
 
 namespace {
 
+// exp/expm1 range reduction shared by VecExpScalar and Expm1Scalar:
+// x = k*ln2 + r with |r| <= ln2/2. k is extracted with the round-to-nearest
+// shifter trick (adding 1.5 * 2^52 places the integer in the low mantissa
+// bits) and ln2 is split Cody-Waite style so k*kLn2Hi is exact.
+constexpr double kLog2e = 1.4426950408889634074;
+constexpr double kLn2Hi = 6.93147180369123816490e-01;
+constexpr double kLn2Lo = 1.90821492927058770002e-10;
+constexpr double kShift = 6755399441055744.0;  // 1.5 * 2^52
+constexpr uint64_t kSignBit = 0x8000000000000000ull;
+
+uint64_t Bits(double x) {
+  uint64_t u;
+  std::memcpy(&u, &x, sizeof(u));
+  return u;
+}
+
+double FromBits(uint64_t u) {
+  double x;
+  std::memcpy(&x, &u, sizeof(x));
+  return x;
+}
+
+// 2^k for the k that the shifter left in t's low mantissa bits (t and
+// kShift share an exponent, so the subtraction is exact), assembled
+// directly in the exponent field. Unsigned arithmetic: a NaN input leaves
+// an arbitrary pattern in t, and every pattern must be defined behaviour.
+double ScaleFromShifted(double t) {
+  return FromBits((Bits(t) - Bits(kShift) + 1023) << 52);
+}
+
 void VecExpScalar(const double* in, double* out, int n) {
-  // exp(x) = 2^k * exp(r) with r = x - k*ln2 (|r| <= ln2/2). k is extracted
-  // with the round-to-nearest shifter trick (adding 1.5 * 2^52 places the
-  // integer in the low mantissa bits), exp(r) is a degree-11 Taylor
+  // exp(x) = 2^k * exp(r) (reduction above); exp(r) is a degree-11 Taylor
   // polynomial in Estrin form (max relative error ~9e-15 on the reduced
   // range; the even/odd split shortens the 11-FMA Horner dependency chain
-  // to ~7 steps), and the 2^k scale is assembled directly in the exponent
-  // field. Every step is add/mul/compare-select/integer bit work on
+  // to ~7 steps). Every step is add/mul/compare-select/integer bit work on
   // independent lanes, so gcc vectorizes the loop at -O3 even at the SSE2
   // baseline (no roundpd/cvttpd needed). The clamp ternaries only become
   // branch-free selects under -fno-trapping-math, set for this file in
   // src/CMakeLists.txt — without it the loop stays scalar (correct, ~1.7x
   // slower).
-  constexpr double kLog2e = 1.4426950408889634074;
-  constexpr double kLn2Hi = 6.93147180369123816490e-01;
-  constexpr double kLn2Lo = 1.90821492927058770002e-10;
-  constexpr double kShift = 6755399441055744.0;  // 1.5 * 2^52
-  int64_t shift_bits;
-  std::memcpy(&shift_bits, &kShift, sizeof(shift_bits));
   for (int i = 0; i < n; ++i) {
     double x = in[i];
     x = x > 708.0 ? 708.0 : x;
@@ -57,14 +78,56 @@ void VecExpScalar(const double* in, double* out, int n) {
                       r2 * (1.0 / 40320.0 + r * (1.0 / 362880.0)) +
                       r4 * (1.0 / 3628800.0 + r * (1.0 / 39916800.0));
     const double p = lo + r6 * hi;
-    int64_t t_bits;
-    std::memcpy(&t_bits, &t, sizeof(t_bits));
-    const int64_t k = t_bits - shift_bits;  // shared exponent => exact
-    const int64_t scale_bits = (k + 1023) << 52;
-    double scale;
-    std::memcpy(&scale, &scale_bits, sizeof(scale));
-    out[i] = p * scale;
+    out[i] = p * ScaleFromShifted(t);
   }
+}
+
+// expm1(x) = 2^k * P(r) + (2^k - 1) for x in [-40, 40] (callers clamp), so
+// 2^k stays a normal double. P(r) = r + r^2/2! + ... + r^13/13!: degree 13
+// keeps the truncation under 0.05 ulp on |r| <= ln2/2, and adding the
+// leading r last keeps small results accurate to the last bit. Plain
+// mul/add in a fixed order: Expm1Vec in simd_avx2.cc is the same
+// expression and returns the same bits. NaN passes through; expm1(-0)
+// comes out +0 (the elu kernel restores the sign).
+double Expm1Scalar(double x) {
+  const double t = x * kLog2e + kShift;
+  const double kd = t - kShift;
+  const double r = (x - kd * kLn2Hi) - kd * kLn2Lo;
+  const double r2 = r * r;
+  const double r4 = r2 * r2;
+  const double r8 = r4 * r4;
+  // Four Taylor terms in Estrin order: (a + r*b) + r^2*(c + r*d).
+  const auto quad = [r, r2](double a, double b, double c, double d) {
+    return (a + r * b) + r2 * (c + r * d);
+  };
+  const double q0 = quad(0.5, 1.0 / 6.0, 1.0 / 24.0, 1.0 / 120.0);
+  const double q1 = quad(1.0 / 720.0, 1.0 / 5040.0, 1.0 / 40320.0,
+                         1.0 / 362880.0);
+  const double q2 = quad(1.0 / 3628800.0, 1.0 / 39916800.0,
+                         1.0 / 479001600.0, 1.0 / 6227020800.0);
+  const double p = r + r2 * ((q0 + r4 * q1) + r8 * q2);
+  const double s = ScaleFromShifted(t);
+  return s * p + (s - 1.0);
+}
+
+// x > 0 ? x : expm1(x), with x clamped to [-40, 0] by compare-select (NaN
+// passes through; expm1 is -1 to the last bit below -38). OR-ing in x's
+// sign bit maps -0 to -0 and changes nothing else: expm1 of a negative
+// input is negative.
+double EluScalar(double x) {
+  double c = x < -40.0 ? -40.0 : x;
+  c = c > 0.0 ? 0.0 : c;
+  const double y = x > 0.0 ? x : Expm1Scalar(c);
+  return FromBits(Bits(y) | (Bits(x) & kSignBit));
+}
+
+// tanh(x) = sign(x) * e / (e + 2) with e = expm1(2|x|) and |x| clamped to
+// 20 by compare-select (tanh is 1 to the last bit above 19.1).
+double TanhScalar(double x) {
+  double a = std::fabs(x);
+  a = a > 20.0 ? 20.0 : a;
+  const double e = Expm1Scalar(2.0 * a);
+  return FromBits(Bits(e / (e + 2.0)) | (Bits(x) & kSignBit));
 }
 
 double RowDotScalar(const double* row, const double* x, int n) {
@@ -280,8 +343,8 @@ void MatTVecAccumScalar(const double* mat, int64_t ld, const double* u,
 }
 
 void EwForwardScalar(int op, const double* x, double* out, int64_t n) {
-  // The EwFwd formulas from simd.h, verbatim (and matching the autodiff
-  // forward functions they replace on the dispatched path).
+  // The EwFwd formulas from simd.h; elu and tanh are the polynomial
+  // kernels above.
   switch (static_cast<EwFwd>(op)) {
     case EwFwd::kReciprocal:
       for (int64_t i = 0; i < n; ++i) out[i] = 1.0 / x[i];
@@ -297,6 +360,12 @@ void EwForwardScalar(int op, const double* x, double* out, int64_t n) {
       break;
     case EwFwd::kAbs:
       for (int64_t i = 0; i < n; ++i) out[i] = std::fabs(x[i]);
+      break;
+    case EwFwd::kElu:
+      for (int64_t i = 0; i < n; ++i) out[i] = EluScalar(x[i]);
+      break;
+    case EwFwd::kTanh:
+      for (int64_t i = 0; i < n; ++i) out[i] = TanhScalar(x[i]);
       break;
   }
 }

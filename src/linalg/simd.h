@@ -48,17 +48,26 @@ enum class EwGrad : int {
   kAbs,             ///< x > 0 ? 1 : (x < 0 ? -1 : 0)
 };
 
-/// Forward selector for KernelSet::ew_forward — only the activations whose
-/// forward is plain arithmetic or an IEEE-exact instruction (sqrt is
-/// correctly rounded), so vectorizing cannot change a single bit.
-/// Transcendental forwards (elu/tanh/sigmoid/exp/log) stay on the scalar
-/// libm path in autodiff.
+/// Forward selector for KernelSet::ew_forward. Each op is one FMA-free
+/// expression written identically in both tables: plain arithmetic, an
+/// IEEE-exact instruction (sqrt is correctly rounded), or, for elu and
+/// tanh, a range-reduced polynomial built from individually rounded
+/// mul/add/div, compare-select and integer bit work. Both tables therefore
+/// return identical bits, and every result is position-uniform.
+///
+/// elu and tanh are approximations: elu is within 2 ulp and tanh within
+/// 4 ulp of libm's `x > 0 ? x : expm1(x)` and `tanh(x)`, with libm's
+/// special values (elu: NaN -> NaN, +inf -> +inf, -inf -> -1, -0 -> -0;
+/// tanh: NaN -> NaN, +-inf -> +-1, +-0 -> +-0). The sigmoid, exp and log
+/// forwards stay on libm in autodiff.
 enum class EwFwd : int {
   kReciprocal = 0,  ///< 1 / x
   kRelu,            ///< x > 0 ? x : 0
   kSqrt,            ///< sqrt(x)
   kSquare,          ///< x * x
   kAbs,             ///< fabs(x)
+  kElu,             ///< x > 0 ? x : expm1(x)
+  kTanh,            ///< tanh(x)
 };
 
 struct KernelSet {
@@ -169,7 +178,7 @@ struct KernelSet {
                          int rows, int cols, double* out);
 
   /// out[i] = f(x[i]) with f selected by `op` (an EwFwd value); every
-  /// formula is plain arithmetic / compare-select / IEEE-exact sqrt.
+  /// formula is FMA-free and written once per table (see EwFwd).
   void (*ew_forward)(int op, const double* x, double* out, int64_t n);
 };
 

@@ -471,9 +471,9 @@ void EwBackwardAvx2(int op, const double* g, const double* x, const double* y,
 // ---- whole-array forward kernels -----------------------------------------
 //
 // All plain (or IEEE-exact, for vsqrtpd) vector ops with masked full-width
-// tails: bitwise identical to the scalar table. Pure elementwise, so full
-// in-place aliasing is fine — each vector is loaded before its slot is
-// stored.
+// tails, elu/tanh included: bitwise identical to the scalar table. Pure
+// elementwise, so full in-place aliasing is fine — each vector is loaded
+// before its slot is stored.
 
 // out = f(x1, x2) elementwise for a binary vector functor.
 template <typename Fn>
@@ -660,10 +660,50 @@ inline void UnaryLoop(const double* x, double* out, int64_t n, Fn f) {
   }
 }
 
+// simd.cc's Expm1Scalar, four lanes at a time: the same mul/add sequence
+// in the same order, no FMA, so the two tables return identical bits.
+inline __m256d Expm1Vec(__m256d x) {
+  const __m256d kShift = _mm256_set1_pd(6755399441055744.0);  // 1.5 * 2^52
+  const __m256d t = _mm256_add_pd(
+      _mm256_mul_pd(x, _mm256_set1_pd(1.4426950408889634074)), kShift);
+  const __m256d kd = _mm256_sub_pd(t, kShift);
+  const __m256d r = _mm256_sub_pd(
+      _mm256_sub_pd(
+          x, _mm256_mul_pd(kd, _mm256_set1_pd(6.93147180369123816490e-01))),
+      _mm256_mul_pd(kd, _mm256_set1_pd(1.90821492927058770002e-10)));
+  const __m256d r2 = _mm256_mul_pd(r, r);
+  const __m256d r4 = _mm256_mul_pd(r2, r2);
+  const __m256d r8 = _mm256_mul_pd(r4, r4);
+  // Four Taylor terms in Estrin order: (a + r*b) + r^2*(c + r*d).
+  const auto quad = [r, r2](double a, double b, double c, double d) {
+    return _mm256_add_pd(
+        _mm256_add_pd(_mm256_set1_pd(a),
+                      _mm256_mul_pd(r, _mm256_set1_pd(b))),
+        _mm256_mul_pd(r2, _mm256_add_pd(_mm256_set1_pd(c),
+                                        _mm256_mul_pd(r, _mm256_set1_pd(d)))));
+  };
+  const __m256d q0 = quad(0.5, 1.0 / 6.0, 1.0 / 24.0, 1.0 / 120.0);
+  const __m256d q1 = quad(1.0 / 720.0, 1.0 / 5040.0, 1.0 / 40320.0,
+                          1.0 / 362880.0);
+  const __m256d q2 = quad(1.0 / 3628800.0, 1.0 / 39916800.0,
+                          1.0 / 479001600.0, 1.0 / 6227020800.0);
+  const __m256d h = _mm256_add_pd(_mm256_add_pd(q0, _mm256_mul_pd(r4, q1)),
+                                  _mm256_mul_pd(r8, q2));
+  const __m256d p = _mm256_add_pd(r, _mm256_mul_pd(r2, h));
+  const __m256i k = _mm256_sub_epi64(_mm256_castpd_si256(t),
+                                     _mm256_castpd_si256(kShift));
+  const __m256d s = _mm256_castsi256_pd(
+      _mm256_slli_epi64(_mm256_add_epi64(k, _mm256_set1_epi64x(1023)), 52));
+  return _mm256_add_pd(_mm256_mul_pd(s, p),
+                       _mm256_sub_pd(s, _mm256_set1_pd(1.0)));
+}
+
 void EwForwardAvx2(int op, const double* x, double* out, int64_t n) {
   const __m256d zero = _mm256_setzero_pd();
   const __m256d abs_mask =
       _mm256_castsi256_pd(_mm256_set1_epi64x(0x7FFFFFFFFFFFFFFFll));
+  const __m256d sign_bit =
+      _mm256_castsi256_pd(_mm256_set1_epi64x(0x8000000000000000ull));
   switch (static_cast<EwFwd>(op)) {
     case EwFwd::kReciprocal:
       UnaryLoop(x, out, n, [](__m256d xv) {
@@ -688,6 +728,31 @@ void EwForwardAvx2(int op, const double* x, double* out, int64_t n) {
     case EwFwd::kAbs:
       UnaryLoop(x, out, n, [&](__m256d xv) {
         return _mm256_and_pd(xv, abs_mask);
+      });
+      break;
+    case EwFwd::kElu:
+      // EluScalar: clamp to [-40, 0] with ordered compares (NaN passes
+      // through), select x where x > 0, OR in x's sign bit.
+      UnaryLoop(x, out, n, [&](__m256d xv) {
+        const __m256d lo = _mm256_set1_pd(-40.0);
+        __m256d c = _mm256_blendv_pd(xv, lo, _mm256_cmp_pd(xv, lo, _CMP_LT_OQ));
+        c = _mm256_blendv_pd(c, zero, _mm256_cmp_pd(c, zero, _CMP_GT_OQ));
+        const __m256d y = _mm256_blendv_pd(
+            Expm1Vec(c), xv, _mm256_cmp_pd(xv, zero, _CMP_GT_OQ));
+        return _mm256_or_pd(y, _mm256_and_pd(xv, sign_bit));
+      });
+      break;
+    case EwFwd::kTanh:
+      // TanhScalar: |x| clamped to 20 by compare-select, e = expm1(2|x|),
+      // sign(x) * e / (e + 2) with the sign OR-ed in.
+      UnaryLoop(x, out, n, [&](__m256d xv) {
+        const __m256d hi = _mm256_set1_pd(20.0);
+        __m256d a = _mm256_and_pd(xv, abs_mask);
+        a = _mm256_blendv_pd(a, hi, _mm256_cmp_pd(a, hi, _CMP_GT_OQ));
+        const __m256d e = Expm1Vec(_mm256_mul_pd(_mm256_set1_pd(2.0), a));
+        const __m256d q =
+            _mm256_div_pd(e, _mm256_add_pd(e, _mm256_set1_pd(2.0)));
+        return _mm256_or_pd(q, _mm256_and_pd(xv, sign_bit));
       });
       break;
   }

@@ -10,27 +10,27 @@
 namespace cerl::serve {
 namespace {
 
-// Elementwise activations, matching autodiff/ops.cc forwards exactly: relu
-// through the dispatched ew_forward kernel (bitwise across tables, in-place
-// aliasing allowed), the transcendentals as the same scalar libm loops the
-// tape runs (elu = expm1, tanh = std::tanh, sigmoid = 1/(1+exp(-x))).
+// Elementwise activations, matching autodiff/ops.cc forwards exactly: relu,
+// elu and tanh through the dispatched ew_forward kernel (the same kernel
+// the tape runs; bitwise across tables, in-place aliasing allowed), sigmoid
+// as the tape's scalar libm loop (1 / (1 + exp(-x))).
 void ApplyActivationInPlace(nn::Activation act, linalg::Matrix* m) {
   double* d = m->data();
   const int64_t n = m->size();
+  const auto forward = [d, n](linalg::simd::EwFwd op) {
+    linalg::simd::Kernels().ew_forward(static_cast<int>(op), d, d, n);
+  };
   switch (act) {
     case nn::Activation::kNone:
       return;
     case nn::Activation::kRelu:
-      linalg::simd::Kernels().ew_forward(
-          static_cast<int>(linalg::simd::EwFwd::kRelu), d, d, n);
+      forward(linalg::simd::EwFwd::kRelu);
       return;
     case nn::Activation::kElu:
-      for (int64_t i = 0; i < n; ++i) {
-        d[i] = d[i] > 0.0 ? d[i] : std::expm1(d[i]);
-      }
+      forward(linalg::simd::EwFwd::kElu);
       return;
     case nn::Activation::kTanh:
-      for (int64_t i = 0; i < n; ++i) d[i] = std::tanh(d[i]);
+      forward(linalg::simd::EwFwd::kTanh);
       return;
     case nn::Activation::kSigmoid:
       for (int64_t i = 0; i < n; ++i) d[i] = 1.0 / (1.0 + std::exp(-d[i]));

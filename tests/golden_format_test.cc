@@ -4,7 +4,8 @@
 // This freezes every on-disk format the engine writes — an accidental
 // layout change breaks these tests, not production restores.
 //
-// Regenerating (only when the format is INTENTIONALLY revised):
+// Regenerating (only when an on-disk format or the kernel numerics change
+// on purpose; CHANGES.md says which):
 //   CERL_REGEN_GOLDEN=1 ./build/tests/golden_format_test
 // rewrites the fixtures in the source tree; commit them with the change.
 #include <gtest/gtest.h>

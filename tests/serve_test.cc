@@ -69,9 +69,11 @@ std::vector<DataSplit> MakeStream(uint64_t seed, int domains, double shift) {
 
 // Small but representative config: cosine-normalized representation (the
 // paper's default) so the snapshot's precomputed column normalization is on
-// the tested path, elu hidden activations for the transcendental branch.
-CerlConfig SmallConfig(uint64_t seed) {
+// the tested path; the representation output is always tanh.
+CerlConfig SmallConfig(uint64_t seed,
+                       nn::Activation hidden = nn::Activation::kElu) {
   CerlConfig c;
+  c.net.activation = hidden;
   c.net.rep_hidden = {16};
   c.net.rep_dim = 8;
   c.net.head_hidden = {8};
@@ -93,12 +95,20 @@ void ExpectBitIdentical(const Vector& a, const Vector& b) {
   }
 }
 
+// Every NetConfig::activation BatchPredictor serves: the ew_forward kernels
+// (elu, tanh, relu) and the libm sigmoid loop.
+const nn::Activation kHiddenActivations[] = {
+    nn::Activation::kElu, nn::Activation::kTanh, nn::Activation::kRelu,
+    nn::Activation::kSigmoid};
+
 // Trains `domains` stages and checks every bit-identity contract of one
 // snapshot: batch vs the trainer, 1-row queries vs 1-row trainer forwards,
 // and stability through a checkpoint round-trip. Runs under whichever
 // kernel table is active, so the forced-scalar test reuses it wholesale.
-void CheckSnapshotIdentity(uint64_t seed) {
-  const CerlConfig config = SmallConfig(seed);
+void CheckSnapshotIdentity(uint64_t seed, nn::Activation hidden) {
+  SCOPED_TRACE(testing::Message()
+               << "hidden activation " << static_cast<int>(hidden));
+  const CerlConfig config = SmallConfig(seed, hidden);
   const std::vector<DataSplit> domains = MakeStream(seed + 1, 2, 0.8);
   CerlTrainer trainer(config, kFeatures);
   for (const DataSplit& split : domains) trainer.ObserveDomain(split);
@@ -143,7 +153,9 @@ void CheckSnapshotIdentity(uint64_t seed) {
 }
 
 TEST(EffectSnapshotTest, PredictsBitIdenticalToTrainerAndCheckpoint) {
-  CheckSnapshotIdentity(41);
+  for (nn::Activation hidden : kHiddenActivations) {
+    CheckSnapshotIdentity(41, hidden);
+  }
 }
 
 TEST(EffectSnapshotTest, PredictsBitIdenticalUnderForcedScalarKernels) {
@@ -151,7 +163,9 @@ TEST(EffectSnapshotTest, PredictsBitIdenticalUnderForcedScalarKernels) {
   // cosine column normalization), and both prediction paths — on the
   // portable scalar kernel table, as CERL_FORCE_SCALAR=1 would select it.
   linalg::simd::ForceScalarForTesting(true);
-  CheckSnapshotIdentity(43);
+  for (nn::Activation hidden : kHiddenActivations) {
+    CheckSnapshotIdentity(43, hidden);
+  }
   linalg::simd::ForceScalarForTesting(false);
 }
 

@@ -2,8 +2,9 @@
 // (linalg/simd.h): scalar-vs-AVX2 agreement with a documented ULP
 // tolerance across sizes including every n % 4 remainder, the
 // position-uniformity / split-invariance guarantees the Sinkhorn solver and
-// Adam depend on, VecExp's in == out alias contract, and same-build
-// run-to-run determinism.
+// Adam depend on, VecExp's in == out alias contract, the elu/tanh forward
+// kernels' ulp bounds against libm and their special values, and
+// same-build run-to-run determinism.
 //
 // ULP tolerance rationale: the AVX2 kernels keep the scalar expression
 // shape but fuse each multiply-add (FMA), so every fused op can differ from
@@ -14,9 +15,11 @@
 // against a long-double reference instead of raw ulps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "linalg/ops.h"
@@ -133,16 +136,24 @@ TEST(VecExpKernelTest, InPlaceAliasMatchesOutOfPlace) {
   }
 }
 
+// Runs on the scalar table too: the AVX2 table is active on most hosts, and
+// the scalar kernel's exponent assembly must be defined for NaN's bit
+// pattern (the CI UBSan job traps on a signed shift overflow there).
 TEST(VecExpKernelTest, ClampAndSpecialValues) {
-  const double in[] = {-800.0, -708.0, 0.0, 708.0, 800.0, 1.0, -1.0};
-  const int n = 7;
-  double out[7];
-  Kernels().vec_exp(in, out, n);
-  EXPECT_GT(out[0], 0.0);  // clamped, not underflowed to 0
-  EXPECT_TRUE(std::isfinite(out[4]));
-  EXPECT_EQ(out[2], 1.0);
-  EXPECT_EQ(out[0], out[1]);  // both clamp to exp(-708)
-  EXPECT_EQ(out[3], out[4]);  // both clamp to exp(708)
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double in[] = {-800.0, -708.0, 0.0, 708.0, 800.0, 1.0, -1.0, nan, -nan};
+  const int n = 9;
+  for (const KernelSet* ks : {&ScalarKernels(), &Kernels()}) {
+    double out[9];
+    ks->vec_exp(in, out, n);
+    EXPECT_GT(out[0], 0.0) << ks->name;  // clamped, not underflowed to 0
+    EXPECT_TRUE(std::isfinite(out[4])) << ks->name;
+    EXPECT_EQ(out[2], 1.0) << ks->name;
+    EXPECT_EQ(out[0], out[1]) << ks->name;  // both clamp to exp(-708)
+    EXPECT_EQ(out[3], out[4]) << ks->name;  // both clamp to exp(708)
+    EXPECT_TRUE(std::isnan(out[7])) << ks->name;
+    EXPECT_TRUE(std::isnan(out[8])) << ks->name;
+  }
 }
 
 // --- row_dot -------------------------------------------------------------
@@ -332,7 +343,8 @@ TEST(EwForwardKernelTest, CrossTableBitwiseAndFormulaExact) {
   const KernelSet& ac = Kernels();
   for (int n : kSizes) {
     for (EwFwd op : {EwFwd::kReciprocal, EwFwd::kRelu, EwFwd::kSqrt,
-                     EwFwd::kSquare, EwFwd::kAbs}) {
+                     EwFwd::kSquare, EwFwd::kAbs, EwFwd::kElu,
+                     EwFwd::kTanh}) {
       // Positive inputs where the formula needs them (1/x, sqrt).
       const bool positive = op == EwFwd::kReciprocal || op == EwFwd::kSqrt;
       const std::vector<double> x =
@@ -343,7 +355,8 @@ TEST(EwForwardKernelTest, CrossTableBitwiseAndFormulaExact) {
       for (int i = 0; i < n; ++i) {
         EXPECT_EQ(s[i], v[i])
             << "ew_forward op=" << static_cast<int>(op) << " n=" << n;
-        // Spot-check the documented formula against plain C++.
+        // Spot-check the documented formula against plain C++ (elu and
+        // tanh are approximations, bounded against libm below).
         double ref = 0.0;
         switch (op) {
           case EwFwd::kReciprocal: ref = 1.0 / x[i]; break;
@@ -351,9 +364,114 @@ TEST(EwForwardKernelTest, CrossTableBitwiseAndFormulaExact) {
           case EwFwd::kSqrt: ref = std::sqrt(x[i]); break;
           case EwFwd::kSquare: ref = x[i] * x[i]; break;
           case EwFwd::kAbs: ref = std::fabs(x[i]); break;
+          case EwFwd::kElu:
+          case EwFwd::kTanh: continue;
         }
         EXPECT_EQ(s[i], ref)
             << "ew_forward formula op=" << static_cast<int>(op);
+      }
+    }
+  }
+}
+
+double EluRef(double x) { return x > 0.0 ? x : std::expm1(x); }
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+// elu within 2 ulp and tanh within 4 ulp of libm, on both tables. 2^20
+// points with log-uniform magnitudes in [2^-40, 745] cover every binade the
+// polynomial and the saturated tails see; 2^18 uniform points on [-745,
+// 745], |x| < 2^-30 and subnormals ride along.
+TEST(EwForwardKernelTest, EluAndTanhWithinUlpsOfLibm) {
+  Rng rng(71);
+  std::vector<double> x;
+  const double log_lo = std::log(0x1p-40), log_hi = std::log(745.0);
+  for (int i = 0; i < (1 << 20); ++i) {
+    const double mag = std::exp(rng.Uniform(log_lo, log_hi));
+    x.push_back(rng.Uniform() < 0.5 ? -mag : mag);
+  }
+  for (int i = 0; i < (1 << 18); ++i) x.push_back(rng.Uniform(-745.0, 745.0));
+  for (int i = 0; i < 4096; ++i) {
+    x.push_back(rng.Uniform(-0x1p-30, 0x1p-30));
+    x.push_back(rng.Uniform(-0x1p-1022, 0x1p-1022));  // subnormal
+  }
+  const int64_t n = static_cast<int64_t>(x.size());
+  std::vector<double> y(x.size());
+  for (const KernelSet* ks : {&ScalarKernels(), &Kernels()}) {
+    uint64_t worst_elu = 0, worst_tanh = 0;
+    ks->ew_forward(static_cast<int>(EwFwd::kElu), x.data(), y.data(), n);
+    for (int64_t i = 0; i < n; ++i) {
+      worst_elu = std::max(worst_elu, UlpDiff(y[i], EluRef(x[i])));
+    }
+    ks->ew_forward(static_cast<int>(EwFwd::kTanh), x.data(), y.data(), n);
+    for (int64_t i = 0; i < n; ++i) {
+      worst_tanh = std::max(worst_tanh, UlpDiff(y[i], std::tanh(x[i])));
+    }
+    EXPECT_LE(worst_elu, 2u) << ks->name;
+    EXPECT_LE(worst_tanh, 4u) << ks->name;
+  }
+}
+
+TEST(EwForwardKernelTest, EluAndTanhKeepLibmSpecialValues) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double x[] = {nan, -nan, inf, -inf, 0.0, -0.0, 0x1p-1074};
+  const double elu[] = {nan, nan, inf, -1.0, 0.0, -0.0, 0x1p-1074};
+  const double tanh[] = {nan, nan, 1.0, -1.0, 0.0, -0.0, 0x1p-1074};
+  const int n = 7;
+  for (const KernelSet* ks : {&ScalarKernels(), &Kernels()}) {
+    double y[7];
+    ks->ew_forward(static_cast<int>(EwFwd::kElu), x, y, n);
+    for (int i = 0; i < n; ++i) {
+      if (std::isnan(elu[i])) {
+        EXPECT_TRUE(std::isnan(y[i])) << ks->name << " elu i=" << i;
+      } else {
+        EXPECT_TRUE(SameBits(y[i], elu[i]))
+            << ks->name << " elu(" << x[i] << ") = " << y[i];
+      }
+    }
+    ks->ew_forward(static_cast<int>(EwFwd::kTanh), x, y, n);
+    for (int i = 0; i < n; ++i) {
+      if (std::isnan(tanh[i])) {
+        EXPECT_TRUE(std::isnan(y[i])) << ks->name << " tanh i=" << i;
+      } else {
+        EXPECT_TRUE(SameBits(y[i], tanh[i]))
+            << ks->name << " tanh(" << x[i] << ") = " << y[i];
+      }
+    }
+  }
+}
+
+// Both tables agree bitwise at every length in kSizes, offsets 0-5, in
+// place and out of place: element i depends only on x[i].
+TEST(EwForwardKernelTest, EluAndTanhCrossTablePositionUniform) {
+  Rng rng(73);
+  const std::vector<double> in = RandomVec(&rng, 262, -25.0, 25.0);
+  for (EwFwd op : {EwFwd::kElu, EwFwd::kTanh}) {
+    std::vector<double> full(in.size());
+    ScalarKernels().ew_forward(static_cast<int>(op), in.data(), full.data(),
+                               static_cast<int64_t>(in.size()));
+    for (const KernelSet* ks : {&ScalarKernels(), &Kernels()}) {
+      for (int n : kSizes) {
+        for (int offset = 0; offset <= 5; ++offset) {
+          std::vector<double> out(n);
+          ks->ew_forward(static_cast<int>(op), in.data() + offset, out.data(),
+                         n);
+          std::vector<double> inplace(in.begin() + offset,
+                                      in.begin() + offset + n);
+          ks->ew_forward(static_cast<int>(op), inplace.data(), inplace.data(),
+                         n);
+          for (int i = 0; i < n; ++i) {
+            EXPECT_TRUE(SameBits(out[i], full[offset + i]))
+                << ks->name << " op=" << static_cast<int>(op) << " n=" << n
+                << " offset=" << offset << " i=" << i;
+            EXPECT_TRUE(SameBits(inplace[i], full[offset + i]))
+                << ks->name << " in place op=" << static_cast<int>(op)
+                << " n=" << n << " offset=" << offset << " i=" << i;
+          }
+        }
       }
     }
   }
@@ -379,8 +497,12 @@ TEST(EwBackwardKernelTest, CrossTableBitwiseIdenticalAllOps) {
         switch (op) {  // y = forward(x), as autodiff records it.
           case EwGrad::kReciprocal: y[i] = 1.0 / x[i]; break;
           case EwGrad::kRelu: y[i] = x[i] > 0.0 ? x[i] : 0.0; break;
-          case EwGrad::kElu: y[i] = x[i] > 0.0 ? x[i] : std::expm1(x[i]); break;
-          case EwGrad::kTanh: y[i] = std::tanh(x[i]); break;
+          case EwGrad::kElu:
+            sc.ew_forward(static_cast<int>(EwFwd::kElu), &x[i], &y[i], 1);
+            break;
+          case EwGrad::kTanh:
+            sc.ew_forward(static_cast<int>(EwFwd::kTanh), &x[i], &y[i], 1);
+            break;
           case EwGrad::kSigmoid: y[i] = 1.0 / (1.0 + std::exp(-x[i])); break;
           case EwGrad::kExp: y[i] = std::exp(x[i]); break;
           case EwGrad::kLog: y[i] = std::log(x[i]); break;
