@@ -133,12 +133,13 @@ class CerlTrainer {
   /// In-memory checkpoint entry points, shared by SaveCheckpoint /
   /// LoadCheckpoint and by the stream engine's snapshot container (which
   /// embeds one serialized trainer per stream). The payload is the full
-  /// CERLCKP1 format including the trailing checksum.
+  /// CERLCKP2 format including the trailing checksum.
   Status SerializeCheckpoint(std::string* out);
 
   /// All-or-nothing restore: the payload is fully parsed and validated
-  /// (checksum, dimensions, parameter shapes) before ANY trainer state is
-  /// touched, so a failed load leaves the trainer exactly as it was.
+  /// (magic, checksum, dimensions, parameter shapes) before ANY trainer
+  /// state is touched, so a failed load leaves the trainer exactly as it
+  /// was.
   Status DeserializeCheckpoint(std::string_view payload);
 
   /// Returns the trainer to its freshly-constructed state (no model, empty

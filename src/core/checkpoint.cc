@@ -6,15 +6,15 @@
 // in-memory state — and it is the ENTIRE durable state: a restored trainer
 // continues bit-identically to the uninterrupted run.
 //
-// Format CERLCKP1 (frozen; golden fixtures under tests/testdata/):
-//   magic "CERLCKP1",
+// Format CERLCKP2 (frozen; golden fixtures under tests/testdata/):
+//   magic "CERLCKP2",
 //   u32 stage_count, u32 input_dim,
 //   rng (u64 words[4], u8 has_cached_normal, f64 cached_normal),
 //   x-scaler (u32 dim, mean[], u32 dim, std[]; dim must equal input_dim),
 //   y-scaler (f64 mean, f64 std, u8 fitted),
 //   parameter block (nn/serialize CERLPAR1 framing),
 //   memory (u32 rows, u32 cols, reps[], u32 rows, y[], t[] as u8),
-//   u64 FNV-1a checksum of all preceding bytes.
+//   u64 Checksum64 (util/binary_io) of all preceding bytes.
 //
 // Reads are bounds-checked (every length field is validated against the
 // bytes actually present before any allocation) and staged: the trainer is
@@ -22,11 +22,10 @@
 // mismatched checkpoints return a typed Status and leave the trainer
 // untouched.
 //
-// (The pre-PR5 development layout reused this magic without the RNG block
-// or checksum; it was never a published format — such files are rejected by
-// the checksum check, which is where the format history starts.)
+// The magic is checked before the checksum, so a blob of another version
+// (CERLCKP1 differs only in its FNV-1a checksum) fails with an error that
+// names its magic instead of reading as corruption.
 #include <cstdint>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -38,7 +37,7 @@
 namespace cerl::core {
 namespace {
 
-constexpr char kMagic[8] = {'C', 'E', 'R', 'L', 'C', 'K', 'P', '1'};
+constexpr std::string_view kMagic = "CERLCKP2";
 
 // Decode-time cap on memory rows: generous (the bank is bounded by
 // memory_capacity, typically hundreds) yet small enough that a corrupted
@@ -53,7 +52,7 @@ Status CerlTrainer::SerializeCheckpoint(std::string* out) {
         "nothing to checkpoint: no domain observed yet");
   }
   out->clear();
-  out->append(kMagic, sizeof(kMagic));
+  out->append(kMagic);
   WritePod(out, static_cast<uint32_t>(stages_seen_));
   WritePod(out, static_cast<uint32_t>(input_dim_));
 
@@ -99,6 +98,7 @@ Status CerlTrainer::DeserializeCheckpoint(std::string_view bytes) {
     return Status::FailedPrecondition(
         "checkpoint restore requires a fresh trainer");
   }
+  CERL_RETURN_IF_ERROR(CheckMagic(bytes, kMagic, "checkpoint"));
   Result<std::string_view> verified = VerifyChecksum(bytes, "checkpoint");
   if (!verified.ok()) return verified.status();
   const std::string_view payload = verified.value();
@@ -109,11 +109,8 @@ Status CerlTrainer::DeserializeCheckpoint(std::string_view bytes) {
   std::istream in(&buf);
   BoundedReader r(&in, payload.size());
 
-  char magic[8];
+  char magic[kMagic.size()];  // matched above; the read bounds-checks it
   CERL_RETURN_IF_ERROR(r.ReadRaw(magic, sizeof(magic), "magic"));
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::IoError("bad checkpoint magic");
-  }
   uint32_t stages = 0, input_dim = 0;
   CERL_RETURN_IF_ERROR(r.ReadPod(&stages, "stage count"));
   CERL_RETURN_IF_ERROR(r.ReadPod(&input_dim, "input dim"));

@@ -5,19 +5,17 @@
 #include "causal/rep_outcome_net.h"
 #include "core/cerl_trainer.h"
 #include "linalg/simd.h"
+#include "util/binary_io.h"
 #include "util/check.h"
 
 namespace cerl::serve {
 namespace {
 
-// Incremental FNV-1a (util::Fnv1a64 is one-shot over a contiguous buffer;
-// the snapshot payload is many separate arrays).
-void HashBytes(uint64_t* h, const void* data, size_t n) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    *h ^= bytes[i];
-    *h *= 1099511628211ULL;
-  }
+// Feeds `n` doubles' bytes to the fingerprint (the payload is many separate
+// arrays; the streaming checksum gives their concatenation's digest).
+void HashDoubles(Checksum64Stream* h, const double* data, size_t n) {
+  h->Update(std::string_view(reinterpret_cast<const char*>(data),
+                             n * sizeof(double)));
 }
 
 // ColL2Normalize(w) replayed outside the tape, op for op (composite.cc:
@@ -90,11 +88,11 @@ std::vector<DenseLayer> BuildLayers(
   return layers;
 }
 
-void HashLayers(uint64_t* h, const std::vector<DenseLayer>& layers) {
+void HashLayers(Checksum64Stream* h, const std::vector<DenseLayer>& layers) {
   for (const DenseLayer& layer : layers) {
-    HashBytes(h, layer.weight.data(),
-              static_cast<size_t>(layer.weight.size()) * sizeof(double));
-    HashBytes(h, layer.bias.data(), layer.bias.size() * sizeof(double));
+    HashDoubles(h, layer.weight.data(),
+                static_cast<size_t>(layer.weight.size()));
+    HashDoubles(h, layer.bias.data(), layer.bias.size());
   }
 }
 
@@ -128,15 +126,15 @@ std::shared_ptr<const EffectSnapshot> BuildEffectSnapshot(
 }
 
 uint64_t SnapshotFingerprint(const EffectSnapshot& snap) {
-  uint64_t h = 14695981039346656037ULL;
+  Checksum64Stream h;
   HashLayers(&h, snap.rep);
   HashLayers(&h, snap.head0);
   HashLayers(&h, snap.head1);
-  HashBytes(&h, snap.x_mean.data(), snap.x_mean.size() * sizeof(double));
-  HashBytes(&h, snap.x_std.data(), snap.x_std.size() * sizeof(double));
-  HashBytes(&h, &snap.y_mean, sizeof(snap.y_mean));
-  HashBytes(&h, &snap.y_scale, sizeof(snap.y_scale));
-  return h;
+  HashDoubles(&h, snap.x_mean.data(), snap.x_mean.size());
+  HashDoubles(&h, snap.x_std.data(), snap.x_std.size());
+  HashDoubles(&h, &snap.y_mean, 1);
+  HashDoubles(&h, &snap.y_scale, 1);
+  return h.digest();
 }
 
 }  // namespace cerl::serve

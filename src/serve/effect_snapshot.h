@@ -69,9 +69,9 @@ struct EffectSnapshot {
   double y_mean = 0.0;
   double y_scale = 1.0;
 
-  /// FNV-1a over every weight/bias/scaler byte in build order — recomputable
-  /// via SnapshotFingerprint, so concurrency tests can prove a reader never
-  /// observed a torn snapshot.
+  /// Checksum64 (util/binary_io) over every weight/bias/scaler byte in
+  /// build order — recomputable via SnapshotFingerprint, so concurrency
+  /// tests can prove a reader never observed a torn snapshot.
   uint64_t fingerprint = 0;
   std::chrono::steady_clock::time_point published_at;
 };
@@ -83,8 +83,10 @@ struct EffectSnapshot {
 std::shared_ptr<const EffectSnapshot> BuildEffectSnapshot(
     core::CerlTrainer& trainer, uint64_t version);
 
-/// Recomputes the FNV-1a fingerprint over the snapshot's numeric payload
-/// (same traversal order as BuildEffectSnapshot).
+/// Recomputes the Checksum64 fingerprint over the snapshot's numeric
+/// payload (same traversal order as BuildEffectSnapshot): one streaming
+/// digest fed the arrays in order, so it equals Checksum64 of their
+/// concatenated bytes.
 uint64_t SnapshotFingerprint(const EffectSnapshot& snap);
 
 }  // namespace cerl::serve

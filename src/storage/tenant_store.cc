@@ -48,7 +48,7 @@ Status TenantStore::Put(int64_t key, std::string_view blob) {
   // Allocate and fill the chain front-to-back; each page is linked to its
   // successor after the successor exists, so a mid-Put failure leaks no
   // dangling next pointers into live chains (the partial chain is freed).
-  const uint64_t checksum = Fnv1a64(blob);
+  const uint64_t checksum = Checksum64(blob);
   std::vector<PageId> pages;
   Status status = Status::Ok();
   size_t off = 0;
@@ -141,7 +141,7 @@ Result<std::string> TenantStore::Get(int64_t key) const {
     return Status::IoError("tenant store chain for key " +
                            std::to_string(key) + " is truncated");
   }
-  if (Fnv1a64(blob) != checksum) {
+  if (Checksum64(blob) != checksum) {
     return Status::IoError("tenant store blob for key " +
                            std::to_string(key) +
                            " failed its checksum (corrupted store)");

@@ -1,5 +1,5 @@
 // Blob store over the page layer: maps a tenant key to a chain of pages
-// holding one serialized state blob (the engine stores CERLCKP1 trainer
+// holding one serialized state blob (the engine stores CERLCKP2 trainer
 // checkpoints here when a tenant is spilled).
 //
 // Chain layout (all pages):
@@ -7,7 +7,7 @@
 //   0       4     next PageId (0 = last page of the chain)
 //   head page only, after next:
 //   4       8     blob size in bytes
-//   12      8     FNV-1a checksum of the blob
+//   12      8     Checksum64 (util/binary_io) of the blob
 //   then payload bytes fill the rest of each page.
 //
 // The key -> (head page, size) catalog lives in memory only: the store is

@@ -12,7 +12,8 @@ namespace cerl {
 namespace storage {
 namespace {
 
-constexpr size_t kHeaderBytes = 16;
+constexpr std::string_view kFileMagic = "CERLWAL2";
+constexpr size_t kHeaderBytes = 16;  // per record
 // A single WAL payload is one domain's serialized splits; 1 GiB is far
 // beyond any real record and caps what a corrupted length field can make
 // the scanner allocate.
@@ -21,22 +22,16 @@ constexpr uint32_t kMaxPayload = 1u << 30;
 uint64_t RecordChecksum(const char* header8, std::string_view payload) {
   // Checksum covers len + type (the first 8 header bytes) and the payload,
   // so a flip in any of the three is detected.
-  uint64_t hash = 0xCBF29CE484222325ull;
-  const auto mix = [&hash](const char* p, size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      hash ^= static_cast<unsigned char>(p[i]);
-      hash *= 0x100000001B3ull;
-    }
-  };
-  mix(header8, 8);
-  mix(payload.data(), payload.size());
-  return hash;
+  Checksum64Stream hasher;
+  hasher.Update(std::string_view(header8, 8));
+  hasher.Update(payload);
+  return hasher.digest();
 }
 
-// Walks the valid record prefix of `contents`, calling
-// visit(type, payload, record bytes) for each record, and returns the
-// prefix length. Stops at the first record that is short, oversized, or
-// fails its checksum.
+// Walks the valid record prefix of `contents` (the bytes after the file
+// magic), calling visit(type, payload, record bytes) for each record, and
+// returns the prefix length. Stops at the first record that is short,
+// oversized, or fails its checksum.
 template <typename Visit>
 size_t ScanRecords(std::string_view contents, Visit&& visit) {
   size_t valid_end = 0;
@@ -98,16 +93,32 @@ Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path,
     }
     // A missing file is simply an empty log.
   }
-  const size_t valid_end = ScanRecords(
-      contents, [&wal](uint32_t type, std::string_view payload,
-                       std::string_view /*record*/) {
-        wal->recovered_.push_back({type, std::string(payload)});
-      });
-  wal->truncated_bytes_ = contents.size() - valid_end;
+  // A file shorter than the magic that is a prefix of it is a crash during
+  // creation and opens as an empty log. Any other file must carry the magic
+  // and is refused untouched otherwise: records of another format version
+  // would all fail their checksums and be truncated away as a torn tail.
+  const bool creating = contents.size() < kFileMagic.size() &&
+                        kFileMagic.substr(0, contents.size()) == contents;
+  size_t valid_end = kFileMagic.size();
+  if (!creating) {
+    CERL_RETURN_IF_ERROR(CheckMagic(contents, kFileMagic, "WAL " + path));
+    valid_end += ScanRecords(
+        std::string_view(contents).substr(kFileMagic.size()),
+        [&wal](uint32_t type, std::string_view payload,
+               std::string_view /*record*/) {
+          wal->recovered_.push_back({type, std::string(payload)});
+        });
+    wal->truncated_bytes_ = contents.size() - valid_end;
+  }
 
   wal->fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
   if (wal->fd_ < 0) return Status::IoError("cannot open WAL: " + path);
-  if (wal->truncated_bytes_ > 0) {
+  if (creating) {
+    if (::pwrite(wal->fd_, kFileMagic.data(), kFileMagic.size(), 0) !=
+        static_cast<ssize_t>(kFileMagic.size())) {
+      return Status::IoError("cannot write WAL magic: " + path);
+    }
+  } else if (wal->truncated_bytes_ > 0) {
     if (::ftruncate(wal->fd_, static_cast<off_t>(valid_end)) != 0) {
       return Status::IoError("cannot truncate torn WAL tail: " + path);
     }
@@ -161,11 +172,13 @@ Status Wal::Compact(
   // append restores the previous length.
   Result<std::string> read = ReadFileToString(path_);
   CERL_RETURN_IF_ERROR(read.status());
-  std::string contents;
-  ScanRecords(read.value(), [&](uint32_t type, std::string_view payload,
-                                std::string_view record) {
-    if (keep(type, payload)) contents.append(record);
-  });
+  CERL_RETURN_IF_ERROR(CheckMagic(read.value(), kFileMagic, "WAL " + path_));
+  std::string contents(kFileMagic);
+  ScanRecords(std::string_view(read.value()).substr(kFileMagic.size()),
+              [&](uint32_t type, std::string_view payload,
+                  std::string_view record) {
+                if (keep(type, payload)) contents.append(record);
+              });
   // WriteFileAtomic publishes the compacted log or leaves the old one —
   // never a torn intermediate — then the fd is repointed at the new file.
   CERL_RETURN_IF_ERROR(WriteFileAtomic(path_, contents));

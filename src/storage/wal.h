@@ -2,14 +2,22 @@
 // accepted mutation (the engine logs stream creation and every accepted
 // domain). Recovery = replay the longest valid prefix into a fresh engine.
 //
-// Record wire format (little-endian):
+// File format CERLWAL2 (little-endian): the 8-byte magic "CERLWAL2", then
+// records back to back. Record wire format:
 //   offset  size  field
 //   0       4     payload_len
 //   4       4     type (caller-defined tag)
-//   8       8     FNV-1a checksum of bytes [0, 8) + payload
+//   8       8     Checksum64 (util/binary_io) of bytes [0, 8) + payload
 //   16      len   payload
+// The first version had no file magic and FNV-1a record checksums.
 //
-// Open() scans the existing file record by record and stops at the first
+// Open() refuses (IoError, file left byte-identical) a non-empty file that
+// does not start with the magic: every record of another version would
+// fail its checksum, and treating that as a torn tail would truncate the
+// log to nothing. A file shorter than the magic that is a prefix of it is
+// a crash during creation and opens as an empty log.
+//
+// Past the magic, Open() scans record by record and stops at the first
 // record that is short, oversized, or fails its checksum — the signature
 // of a crash mid-append (torn tail) or of on-disk corruption. Everything
 // before that point is recovered; the file is truncated to the valid
@@ -49,7 +57,8 @@ class Wal {
   };
 
   /// Opens (or creates) the log at `path`, recovering the valid record
-  /// prefix and truncating any torn tail.
+  /// prefix and truncating any torn tail. A file of another format version
+  /// is an IoError and stays untouched.
   static Result<std::unique_ptr<Wal>> Open(const std::string& path,
                                            const Options& options);
 
@@ -60,7 +69,7 @@ class Wal {
   /// Records recovered by Open() (in log order). Stable for the Wal's
   /// lifetime; replay consumes this once after Open.
   const std::vector<Record>& recovered() const { return recovered_; }
-  /// Bytes dropped by torn-tail truncation at Open (0 = clean log).
+  /// Record bytes dropped by torn-tail truncation at Open (0 = clean log).
   uint64_t truncated_bytes() const { return truncated_bytes_; }
 
   /// Appends one record. On any failure the file is restored to its
@@ -76,6 +85,7 @@ class Wal {
       const std::function<bool(uint32_t type, std::string_view payload)>&
           keep);
 
+  /// File size, the magic included.
   uint64_t size_bytes() const;
   uint64_t appended_records() const;
   const std::string& path() const { return path_; }

@@ -2,14 +2,14 @@
 //
 // A multi-tenant CERL server's entire durable state is: per stream, the
 // trainer's continual state (model + scalers + memory M_d + stage counter +
-// RNG — the CERLCKP1 payload from core/checkpoint.cc) plus the domains that
+// RNG — the CERLCKP2 payload from core/checkpoint.cc) plus the domains that
 // were accepted but not consumed yet. The container holds only the first:
 // the accepted-but-unconsumed domains live in the WAL alone (see
 // engine_storage.cc), so nothing in the container is raw covariates — the
 // paper's accessibility criterion.
 //
-// Format CERLENG5 (golden fixtures under tests/testdata/ pin the layout):
-//   magic "CERLENG5",
+// Format CERLENG6 (golden fixtures under tests/testdata/ pin the layout):
+//   magic "CERLENG6",
 //   u32 num_workers                                (informational),
 //   u32 num_streams, then per stream:
 //     u32 name_len, name bytes,
@@ -20,11 +20,13 @@
 //     u8 health, u32 consecutive_failures, u32 failed_domains,
 //     3 x { f64 rate_ms_per_unit, i64 count }      (the stream's learned
 //       StageCostModel rates),
-//     u8 has_trainer, [u64 blob_len, CERLCKP1 payload incl. its checksum],
-//   u64 FNV-1a checksum.
+//     u8 has_trainer, [u64 blob_len, CERLCKP2 payload incl. its checksum],
+//   u64 Checksum64 (util/binary_io).
+// The magic is checked first, so an older container (CERLENG5 differs only
+// in its FNV-1a checksums) fails with an error that names its magic.
 //
 // Checksum scope: the trailing hash covers the container METADATA only —
-// the embedded CERLCKP1 blob spans are excluded. Each blob already carries
+// the embedded CERLCKP2 blob spans are excluded. Each blob already carries
 // its own whole-payload checksum (verified by DeserializeCheckpoint), so
 // corruption anywhere is still detected; what the exclusion buys is that
 // SaveSnapshot appends each captured blob once and never re-hashes
@@ -55,7 +57,7 @@
 namespace cerl::stream {
 namespace {
 
-constexpr char kMagic[8] = {'C', 'E', 'R', 'L', 'E', 'N', 'G', '5'};
+constexpr std::string_view kMagic = "CERLENG6";
 
 // Decode-time sanity caps: generous for any real deployment, small enough
 // that a corrupted count fails fast with a descriptive error instead of an
@@ -177,11 +179,11 @@ Status ReadDataset(BoundedReader* r, data::CausalDataset* d,
   return Status::Ok();
 }
 
-// FNV-1a over `bytes` minus the embedded blob spans (offset, length), in
-// order: the container's metadata checksum.
+// Checksum64 over `bytes` minus the embedded blob spans (offset, length),
+// in order: the container's metadata checksum.
 uint64_t MetadataHash(std::string_view bytes,
                       const std::vector<std::pair<size_t, size_t>>& spans) {
-  Fnv1a64Stream hasher;
+  Checksum64Stream hasher;
   size_t pos = 0;
   for (const auto& span : spans) {
     hasher.Update(bytes.substr(pos, span.first - pos));
@@ -198,7 +200,7 @@ uint64_t MetadataHash(std::string_view bytes,
 // records carry the split codec.
 namespace snapfmt {
 
-// --- CerlConfig codec (fixed field order; the CERLENG5 magic versions it) --
+// --- CerlConfig codec (fixed field order; the CERLENG6 magic versions it) --
 
 void WriteConfig(std::string* out, const core::CerlConfig& c) {
   WriteIntVector(out, c.net.rep_hidden);
@@ -394,7 +396,7 @@ Status StreamEngine::SaveSnapshot(const std::string& path,
     reserve_bytes += c.head.size() + 16 + (c.blob ? c.blob->size() : 0);
   }
   payload.reserve(reserve_bytes);
-  payload.append(kMagic, sizeof(kMagic));
+  payload.append(kMagic);
   WritePod(&payload, static_cast<uint32_t>(pool_.num_threads()));
   WritePod(&payload, static_cast<uint32_t>(captures.size()));
   std::vector<std::pair<size_t, size_t>> blob_spans;
@@ -443,9 +445,10 @@ Status StreamEngine::LoadSnapshot(const std::string& path) {
 
   // The checksum covers metadata only (blob spans excluded), so it cannot be
   // verified until the parse has located the spans — see the check below.
-  if (raw.size() < sizeof(kMagic) + sizeof(uint64_t)) {
+  if (raw.size() < kMagic.size() + sizeof(uint64_t)) {
     return Status::IoError("engine snapshot: too short to carry a checksum");
   }
+  CERL_RETURN_IF_ERROR(CheckMagic(raw, kMagic, "engine snapshot"));
   const std::string_view payload =
       std::string_view(raw).substr(0, raw.size() - sizeof(uint64_t));
   uint64_t stored_hash = 0;
@@ -454,11 +457,8 @@ Status StreamEngine::LoadSnapshot(const std::string& path) {
   ViewStreambuf buf(payload);
   std::istream in(&buf);
   BoundedReader r(&in, payload.size());
-  char magic[8];
+  char magic[kMagic.size()];  // matched above
   CERL_RETURN_IF_ERROR(r.ReadRaw(magic, sizeof(magic), "magic"));
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::IoError("bad engine snapshot magic");
-  }
   uint32_t saved_workers = 0;
   CERL_RETURN_IF_ERROR(r.ReadPod(&saved_workers, "worker count"));
   uint32_t num_streams = 0;

@@ -96,7 +96,7 @@ struct StreamEngineOptions {
   // Numerical health guards run at stage boundaries: a non-finite
   // validation loss, parameter, or memory representation fails the attempt
   // and rolls the stream's trainer back to its last-good domain boundary
-  // (in-memory CERLCKP1 blob, captured after every successful domain).
+  // (in-memory CERLCKP2 blob, captured after every successful domain).
 
   /// Admission bound: PushDomain returns kResourceExhausted while a
   /// stream's queued (not yet dispatched) domains are at this count.
@@ -122,7 +122,7 @@ struct StreamEngineOptions {
   /// after a crash as tenants go cold again.
   std::string storage_path;
   /// Spill target: when more than this many streams hold live trainer
-  /// state, the least-recently-active idle streams are spilled (CERLCKP1
+  /// state, the least-recently-active idle streams are spilled (CERLCKP2
   /// blob to the store, trainer reset) and fault back on their next pushed
   /// domain. 0 = unbounded (never spill). Requires storage_path.
   int max_resident_streams = 0;
@@ -364,9 +364,9 @@ class StreamEngine {
   /// capture under the engine lock records, per stream, its name / config
   /// / consumed-domain counter / health state (health, consecutive
   /// failures, dropped-domain total), learned stage cost rates, and a
-  /// reference to its CERLCKP1 trainer blob after exactly those domains
+  /// reference to its CERLCKP2 trainer blob after exactly those domains
   /// (its last-good blob, or the stored blob of a spilled stream). No
-  /// pipeline is waited for and no trainer is touched. The CERLENG5
+  /// pipeline is waited for and no trainer is touched. The CERLENG6
   /// container is then assembled and written off-lock: crash-safe (temp
   /// file + fsync + atomic rename), checksummed, and retried three times
   /// with bounded exponential backoff on transient IO failures. With a WAL
@@ -376,7 +376,7 @@ class StreamEngine {
   /// Concurrent calls run one at a time.
   Status SaveSnapshot(const std::string& path, SnapshotInfo* info = nullptr);
 
-  /// Rebuilds a saved CERLENG5 engine into THIS engine, which must be
+  /// Rebuilds a saved CERLENG6 engine into THIS engine, which must be
   /// freshly constructed (no streams registered): re-creates every stream
   /// from its serialized config, restores each trainer bit-identically
   /// (re-seeding its last-good rollback blob), and restores health /

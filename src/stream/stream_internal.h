@@ -105,7 +105,7 @@ struct StreamEngine::StreamState {
   int consecutive_failures = 0;  ///< dropped domains in a row
   int failed_domains = 0;        ///< dropped domains, lifetime total
 
-  // Serialized trainer state (CERLCKP1) after the consumed domains, while
+  // Serialized trainer state (CERLCKP2) after the consumed domains, while
   // the stream is resident and trained (nullptr otherwise): the rollback
   // target of a failed attempt and the blob a snapshot embeds. Replaced
   // under state_mutex_ only by tasks on the stream's group (finish task,
@@ -117,7 +117,7 @@ struct StreamEngine::StreamState {
   // --- Paged tenant-state storage (engine_storage.cc; guarded by the
   // engine's state_mutex_) ----------------------------------------------
   /// Live trainer state is in RAM. False = spilled: the trainer is reset
-  /// and the CERLCKP1 blob lives in the tenant store until the next
+  /// and the CERLCKP2 blob lives in the tenant store until the next
   /// pushed domain (or EnsureResident) faults it back. A spill stores the
   /// blob before it clears the flag; a fault-back erases the blob in the
   /// critical section that sets it. A snapshot capture therefore always

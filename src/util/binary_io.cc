@@ -36,16 +36,112 @@ std::string ParentDirectory(const std::string& path) {
   return path.substr(0, slash);
 }
 
+// XXH64's primes (all odd, so multiplying by one is a bijection).
+constexpr uint64_t kP1 = 0x9E3779B185EBCA87ull;
+constexpr uint64_t kP2 = 0xC2B2AE3D27D4EB4Full;
+constexpr uint64_t kP3 = 0x165667B19E3779F9ull;
+constexpr uint64_t kP4 = 0x85EBCA77C2B2AE63ull;
+constexpr uint64_t kP5 = 0x27D4EB2F165667C5ull;
+
+template <int kBits>
+uint64_t Rotl(uint64_t x) {
+  static_assert(kBits > 0 && kBits < 64, "shift counts stay defined");
+  return (x << kBits) | (x >> (64 - kBits));
+}
+
+uint64_t LoadWord(const unsigned char* p) {
+  uint64_t word = 0;
+  std::memcpy(&word, p, sizeof(word));
+  return word;
+}
+
+// A bijection of `word` for fixed `acc`, and of `acc` for fixed `word`.
+uint64_t Round(uint64_t acc, uint64_t word) {
+  return Rotl<31>(acc + word * kP2) * kP1;
+}
+
+// Absorbs the whole 32-byte stripes of [p, p + n) into `lanes` (kept in
+// registers across the loop); returns the bytes consumed.
+size_t AbsorbStripes(uint64_t lanes[4], const unsigned char* p, size_t n) {
+  uint64_t a0 = lanes[0], a1 = lanes[1], a2 = lanes[2], a3 = lanes[3];
+  const size_t stripes = n / 32;
+  for (size_t i = 0; i < stripes; ++i, p += 32) {
+    a0 = Round(a0, LoadWord(p));
+    a1 = Round(a1, LoadWord(p + 8));
+    a2 = Round(a2, LoadWord(p + 16));
+    a3 = Round(a3, LoadWord(p + 24));
+  }
+  lanes[0] = a0;
+  lanes[1] = a1;
+  lanes[2] = a2;
+  lanes[3] = a3;
+  return stripes * 32;
+}
+
 }  // namespace
 
-uint64_t Fnv1a64(std::string_view data) {
-  Fnv1a64Stream hasher;
+// XXH64's lane seeds for seed 0: P1 + P2, P2, 0, -P1 (mod 2^64).
+Checksum64Stream::Checksum64Stream()
+    : lanes_{kP1 + kP2, kP2, 0, 0 - kP1} {}
+
+void Checksum64Stream::Update(std::string_view data) {
+  if (data.empty()) return;  // memcpy from a null data() is UB even for 0
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
+  total_len_ += n;
+  if (buffered_ + n < kStripeBytes) {
+    std::memcpy(buffer_ + buffered_, p, n);
+    buffered_ += n;
+    return;
+  }
+  if (buffered_ > 0) {
+    const size_t fill = kStripeBytes - buffered_;
+    std::memcpy(buffer_ + buffered_, p, fill);
+    AbsorbStripes(lanes_, buffer_, kStripeBytes);
+    p += fill;
+    n -= fill;
+  }
+  const size_t absorbed = AbsorbStripes(lanes_, p, n);
+  buffered_ = n - absorbed;
+  if (buffered_ > 0) std::memcpy(buffer_, p + absorbed, buffered_);
+}
+
+uint64_t Checksum64Stream::digest() const {
+  uint64_t h = total_len_ * kP5;
+  for (const uint64_t lane : lanes_) h = (h ^ Round(0, lane)) * kP1 + kP4;
+  size_t i = 0;
+  for (; i + 8 <= buffered_; i += 8) {
+    h = Rotl<27>(h ^ Round(0, LoadWord(buffer_ + i))) * kP1 + kP4;
+  }
+  for (; i < buffered_; ++i) {
+    h = Rotl<11>(h ^ static_cast<uint64_t>(buffer_[i]) * kP5) * kP1;
+  }
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  h ^= h >> 32;
+  return h;
+}
+
+uint64_t Checksum64(std::string_view data) {
+  Checksum64Stream hasher;
   hasher.Update(data);
   return hasher.digest();
 }
 
+Status CheckMagic(std::string_view bytes, std::string_view magic,
+                  const std::string& what) {
+  const std::string_view head = bytes.substr(0, magic.size());
+  if (head == magic) return Status::Ok();
+  std::string found;
+  for (const char c : head) found += (c >= 0x20 && c < 0x7f) ? c : '?';
+  return Status::IoError(what + ": bad magic \"" + found + "\" (expected \"" +
+                         std::string(magic) + "\")");
+}
+
 void AppendChecksum(std::string* payload) {
-  const uint64_t sum = Fnv1a64(*payload);
+  const uint64_t sum = Checksum64(*payload);
   char bytes[sizeof(sum)];
   std::memcpy(bytes, &sum, sizeof(sum));
   payload->append(bytes, sizeof(bytes));
@@ -59,7 +155,7 @@ Result<std::string_view> VerifyChecksum(std::string_view bytes,
   const std::string_view payload = bytes.substr(0, bytes.size() - 8);
   uint64_t stored = 0;
   std::memcpy(&stored, bytes.data() + payload.size(), sizeof(stored));
-  if (stored != Fnv1a64(payload)) {
+  if (stored != Checksum64(payload)) {
     return Status::IoError(what + ": checksum mismatch (corrupted file)");
   }
   return payload;

@@ -1,9 +1,15 @@
 // Binary checkpoint I/O substrate shared by the trainer checkpoint
-// (core/checkpoint.cc) and the engine snapshot (stream/engine_checkpoint.cc):
+// (core/checkpoint.cc), the engine snapshot (stream/engine_checkpoint.cc),
+// the WAL and the spill store (storage/), and the serving-plane snapshot
+// fingerprint (serve/effect_snapshot.cc):
 //
-//  - an FNV-1a payload checksum, so any bit flip anywhere in a container is
-//    detected as a clean Status error instead of being deserialized into
-//    garbage state;
+//  - one streaming 64-bit checksum (Checksum64), so any corruption confined
+//    to one aligned 8-byte word of a container (any single-byte flip
+//    included) is detected as a clean Status error instead of being
+//    deserialized into garbage state;
+//  - an 8-byte format magic check whose error names the magic it found, so
+//    a file of another format version is reported as such, not as
+//    corruption;
 //  - crash-safe whole-file writes (temp file + flush + fsync + atomic
 //    rename), so a crash mid-save leaves the previous checkpoint intact and
 //    readers never observe a half-written file;
@@ -23,29 +29,56 @@
 
 namespace cerl {
 
-/// FNV-1a 64-bit hash (the checkpoint integrity checksum).
-uint64_t Fnv1a64(std::string_view data);
-
-/// Incremental FNV-1a 64: Update() in pieces, digest() at any point.
-/// Feeding the same bytes in any segmentation yields Fnv1a64 of their
-/// concatenation — used where a container checksum must skip embedded
-/// self-checksummed spans (CERLENG5 trainer blobs) or cover disjoint
-/// header+payload pieces (WAL records).
-class Fnv1a64Stream {
+/// Streaming 64-bit checksum: the integrity check of every format the
+/// engine writes and the serving-plane snapshot fingerprint.
+///
+/// Four independent 64-bit lanes absorb each 32-byte stripe word by word
+/// with XXH64's round r(acc, w) = rotl(acc + w*P2, 31)*P1 (lanes seeded as
+/// XXH64 with seed 0). digest() starts from total_len*P5, folds the lanes
+/// in order (h = (h ^ r(0, lane))*P1 + P4), absorbs the buffered tail
+/// (8-byte words, then single bytes) and ends with XXH64's avalanche.
+/// The sequential fold replaces XXH64's lane merge on purpose: every step
+/// is a bijection of the value it absorbs (all five primes are odd), so a
+/// change confined to one 8-byte word at an offset that is a multiple of 8
+/// always changes the digest — which covers every single-byte corruption.
+/// The digests are therefore not XXH64's; util_test pins known answers.
+///
+/// Words are read with memcpy (unaligned-safe) as little-endian, like every
+/// format here. There are no intrinsics and no kernel-table entry, so the
+/// digest is the same on every host and under CERL_FORCE_SCALAR.
+///
+/// Update() buffers a partial stripe, so any segmentation of the same bytes
+/// yields Checksum64 of their concatenation — used where a checksum skips
+/// embedded self-checksummed spans (CERLENG6 trainer blobs) or covers
+/// disjoint pieces (WAL header + payload, the arrays of a snapshot
+/// fingerprint).
+class Checksum64Stream {
  public:
-  void Update(std::string_view data) {
-    for (const char c : data) {
-      hash_ ^= static_cast<unsigned char>(c);
-      hash_ *= 0x100000001B3ull;
-    }
-  }
-  uint64_t digest() const { return hash_; }
+  Checksum64Stream();
+
+  void Update(std::string_view data);
+  uint64_t digest() const;
 
  private:
-  uint64_t hash_ = 0xCBF29CE484222325ull;
+  static constexpr size_t kStripeBytes = 32;
+
+  uint64_t lanes_[4];
+  uint64_t total_len_ = 0;
+  unsigned char buffer_[kStripeBytes] = {};  // partial stripe
+  size_t buffered_ = 0;
 };
 
-/// Appends the 8-byte little-endian FNV-1a checksum of `payload` to it.
+/// One-shot Checksum64Stream digest of `data`.
+uint64_t Checksum64(std::string_view data);
+
+/// Fails with IoError unless `bytes` starts with `magic`. The message names
+/// the magic actually found (non-printable bytes shown as '?'), so a file
+/// of an older format version says so instead of reading as corruption.
+/// `what` names the container ("checkpoint", "engine snapshot", "WAL").
+Status CheckMagic(std::string_view bytes, std::string_view magic,
+                  const std::string& what);
+
+/// Appends the 8-byte little-endian Checksum64 of `payload` to it.
 /// Containers are always finalized with this before hitting disk.
 void AppendChecksum(std::string* payload);
 

@@ -1,4 +1,4 @@
-// Corruption robustness of the CERLCKP1 trainer checkpoint and the CERLENG5
+// Corruption robustness of the CERLCKP2 trainer checkpoint and the CERLENG6
 // engine snapshot: programmatic truncation at EVERY byte offset and byte
 // flips across header/dims/blob regions must all come back as clean Status
 // errors — no crash, no OOM-sized allocation, and no partial mutation of the
@@ -200,6 +200,22 @@ TEST(CheckpointCorruptionTest, TrainerStructuralCorruptionsBehindChecksum) {
   }
 }
 
+// A blob of the previous format version (same layout, FNV-1a trailer) is
+// named by its magic, which is checked before the checksum — it does not
+// read as corruption.
+TEST(CheckpointCorruptionTest, TrainerOlderFormatIsNamedByItsMagic) {
+  std::string older = ValidTrainerPayload();
+  older.replace(0, 8, "CERLCKP1");
+  CerlTrainer trainer(TinyConfig(), kInputDim);
+  const Status s = trainer.DeserializeCheckpoint(older);
+  EXPECT_EQ(s.code(), StatusCode::kIoError);
+  EXPECT_NE(s.message().find("\"CERLCKP1\""), std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(s.message().find("checksum mismatch"), std::string::npos)
+      << s.ToString();
+  ExpectTrainerUnmutated(&trainer);
+}
+
 // A failed LoadSnapshot leaves the engine with zero streams, so one engine
 // (and its worker threads) is reused across all corruption cases. Returns
 // the rejection so callers can check which validator fired.
@@ -217,7 +233,7 @@ Status ExpectEngineRejects(stream::StreamEngine* engine,
   return s;
 }
 
-// CERLENG5 verifies its metadata checksum only after the parse, and the
+// CERLENG6 verifies its metadata checksum only after the parse, and the
 // whole-payload hash Refinalized() appends matches no engine container — so
 // a structural case must be rejected by its own validator first. Were that
 // validator deleted, the checksum would still reject the file and hide it.
@@ -269,8 +285,16 @@ TEST(CheckpointCorruptionTest, EngineStructuralCorruptionsBehindChecksum) {
 
   // Bad magic.
   ExpectEngineValidatorRejects(&engine, Refinalized("Y" + payload.substr(1)));
+  // The previous format version is named by its magic.
+  {
+    std::string older = valid;
+    older.replace(0, 8, "CERLENG5");
+    const Status s = ExpectEngineRejects(&engine, older);
+    EXPECT_NE(s.message().find("\"CERLENG5\""), std::string::npos)
+        << s.ToString();
+  }
   // Absurd stream count (offset 8+4 = 12: magic, then workers u32 — the
-  // CERLENG5 header).
+  // CERLENG6 header).
   {
     std::string p = payload;
     const uint32_t huge = 0x7fffffff;

@@ -1,6 +1,7 @@
-// Golden-format compatibility: small CERLCKP1 / CERLENG5 fixtures and a WAL
-// are committed under tests/testdata/ and every build must keep loading them
-// bit-identically (PredictIte parity against committed hexfloat values).
+// Golden-format compatibility: small CERLCKP2 / CERLENG6 fixtures and a
+// CERLWAL2 log are committed under tests/testdata/ and every build must keep
+// loading them bit-identically (PredictIte parity against committed
+// hexfloat values).
 // This freezes every on-disk format the engine writes — an accidental
 // layout change breaks these tests, not production restores.
 //
@@ -302,16 +303,19 @@ TEST(GoldenFormatTest, EngineFixtureLoadsBitIdentically) {
                 "golden engine stream b");
 }
 
-// Pins the WAL record format (both record types) and a WAL-attached
-// engine's CERLENG5 container: Recover() replays the WAL tail over the
-// snapshot.
+// Pins the CERLWAL2 file and record format (both record types) and a
+// WAL-attached engine's CERLENG6 container: Recover() replays the WAL tail
+// over the snapshot.
 TEST(GoldenFormatTest, WalFixtureRecoversBitIdentically) {
   ScalarKernelGuard scalar_guard;
   const std::vector<Vector> expected = ReadExpected();
   Result<std::string> snap = ReadFileToString(WalSnapshotFixture());
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
   ASSERT_GT(snap.value().size(), 8u);
-  EXPECT_EQ(snap.value().substr(0, 8), "CERLENG5");
+  EXPECT_EQ(snap.value().substr(0, 8), "CERLENG6");
+  Result<std::string> wal = ReadFileToString(WalFixture());
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  EXPECT_EQ(wal.value().substr(0, 8), "CERLWAL2");
   std::vector<Vector> ites;
   RecoverWalFixture(&ites);
   ASSERT_EQ(ites.size(), 3u);

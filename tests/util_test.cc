@@ -169,11 +169,60 @@ TEST(RngTest, SaveRestoreStateContinuesBitIdentically) {
   }
 }
 
-TEST(BinaryIoTest, Fnv1a64KnownVectors) {
-  // Reference values of the standard 64-bit FNV-1a parameters.
-  EXPECT_EQ(Fnv1a64(""), 0xCBF29CE484222325ull);
-  EXPECT_EQ(Fnv1a64("a"), 0xAF63DC4C8601EC8Cull);
-  EXPECT_EQ(Fnv1a64("foobar"), 0x85944171F73967E8ull);
+// Fixed byte pattern for the checksum tests: byte i is (167 i + 13) mod 256.
+std::string ChecksumPattern(size_t n) {
+  std::string bytes(n, '\0');
+  for (size_t i = 0; i < n; ++i) bytes[i] = static_cast<char>(i * 167 + 13);
+  return bytes;
+}
+
+TEST(BinaryIoTest, Checksum64KnownAnswers) {
+  // Pinned digests (the construction is not XXH64's, so no published
+  // vectors apply). The lengths cover the empty input, tail bytes only,
+  // one tail word, word + byte, a full stripe with and without a tail, and
+  // several stripes with word and byte tails.
+  const std::pair<size_t, uint64_t> known[] = {
+      {0, 0xBF236B68B172C8F2ull},   {1, 0x7A55AAFC3CC87A2Eull},
+      {7, 0xDF51D37942A165BCull},   {8, 0xA35FEE1F71699A13ull},
+      {9, 0x1DBE033DD4E62CAEull},   {31, 0x6927C471E92DECFBull},
+      {32, 0x8CD51C779D440684ull},  {33, 0x1B38F719C9C018A0ull},
+      {63, 0x5B0DAA6CA2089807ull},  {64, 0x35369EB28B0E0E81ull},
+      {65, 0x9155C15778E3B1F6ull},  {100, 0x2F058799908C4B0Aull},
+  };
+  for (const auto& [len, digest] : known) {
+    EXPECT_EQ(Checksum64(ChecksumPattern(len)), digest) << "length " << len;
+  }
+}
+
+// The guarantee the integrity checks rely on: any change confined to one
+// byte changes the digest. Exhaustive over every length 1-100, position
+// and nonzero XOR mask (1.29M digests).
+TEST(BinaryIoTest, Checksum64DetectsEverySingleByteCorruption) {
+  const std::string pattern = ChecksumPattern(100);
+  for (size_t len = 1; len <= pattern.size(); ++len) {
+    std::string bytes = pattern.substr(0, len);
+    const uint64_t clean = Checksum64(bytes);
+    for (size_t pos = 0; pos < len; ++pos) {
+      for (int mask = 1; mask < 256; ++mask) {
+        bytes[pos] = static_cast<char>(pattern[pos] ^ mask);
+        ASSERT_NE(Checksum64(bytes), clean)
+            << "length " << len << " pos " << pos << " mask " << mask;
+      }
+      bytes[pos] = pattern[pos];
+    }
+  }
+}
+
+TEST(BinaryIoTest, CheckMagicNamesTheMagicItFound) {
+  EXPECT_TRUE(CheckMagic("CERLTEST+payload", "CERLTEST", "blob").ok());
+  const Status old = CheckMagic("CERLTES1+payload", "CERLTEST", "blob");
+  EXPECT_EQ(old.code(), StatusCode::kIoError);
+  EXPECT_NE(old.message().find("\"CERLTES1\""), std::string::npos)
+      << old.ToString();
+  // Short and non-printable inputs are named safely.
+  const Status odd = CheckMagic(std::string("C\x01\0", 3), "CERLTEST", "blob");
+  EXPECT_NE(odd.message().find("\"C??\""), std::string::npos)
+      << odd.ToString();
 }
 
 TEST(BinaryIoTest, ChecksumRoundTripAndTamperDetection) {
@@ -209,31 +258,33 @@ TEST(BinaryIoTest, WriteFileAtomicPublishesAllOrNothing) {
   EXPECT_FALSE(WriteFileAtomic("/nonexistent-dir/x.bin", "data").ok());
 }
 
-TEST(BinaryIoTest, Fnv1a64StreamMatchesAnySegmentation) {
-  const std::string data = "the quick brown fox jumps over the lazy dog";
-  const uint64_t whole = Fnv1a64(data);
-  // One-shot, byte-at-a-time, uneven chunks, and with empty updates mixed
-  // in: every segmentation of the same bytes yields the same digest.
-  {
-    Fnv1a64Stream s;
-    s.Update(data);
-    EXPECT_EQ(s.digest(), whole);
+TEST(BinaryIoTest, Checksum64StreamMatchesAnySegmentation) {
+  const std::string data = ChecksumPattern(100);
+  const std::string_view view(data);
+  const uint64_t whole = Checksum64(data);
+  // Every two-cut split into three pieces (empty pieces included) crosses
+  // the stripe buffer at every offset and yields the one-shot digest.
+  for (size_t a = 0; a <= data.size(); ++a) {
+    for (size_t b = a; b <= data.size(); ++b) {
+      Checksum64Stream s;
+      s.Update(view.substr(0, a));
+      s.Update(view.substr(a, b - a));
+      s.Update(view.substr(b));
+      ASSERT_EQ(s.digest(), whole) << "cuts " << a << ", " << b;
+    }
   }
   {
-    Fnv1a64Stream s;
+    Checksum64Stream s;
     for (char c : data) s.Update(std::string_view(&c, 1));
     EXPECT_EQ(s.digest(), whole);
   }
-  {
-    Fnv1a64Stream s;
-    s.Update(std::string_view(data).substr(0, 7));
-    s.Update(std::string_view());  // empty update is a no-op
-    s.Update(std::string_view(data).substr(7, 20));
-    s.Update(std::string_view(data).substr(27));
-    EXPECT_EQ(s.digest(), whole);
-  }
-  // A fresh stream's digest is the FNV offset basis (hash of "").
-  EXPECT_EQ(Fnv1a64Stream().digest(), Fnv1a64(""));
+  // digest() does not consume the stream: it can be read, then extended.
+  Checksum64Stream s;
+  s.Update(view.substr(0, 40));
+  EXPECT_EQ(s.digest(), Checksum64(view.substr(0, 40)));
+  s.Update(view.substr(40));
+  EXPECT_EQ(s.digest(), whole);
+  EXPECT_EQ(Checksum64Stream().digest(), Checksum64(""));
 }
 
 TEST(BinaryIoTest, WriteF64VectorEmptyVectorIsJustTheCount) {

@@ -169,14 +169,18 @@ TEST(WalRecoveryTest, CompactKeepsAcceptedRecordsVerbatim) {
 
 // Torn tail at EVERY byte offset: for each prefix length of the log file,
 // Open must recover exactly the fully contained records, truncate the rest,
-// and leave the file appendable from the clean boundary.
+// and leave the file appendable from the clean boundary. A cut inside the
+// 8-byte file magic is a crash during creation: the log opens empty and
+// its magic is completed.
 TEST(WalRecoveryTest, TornTailTruncatedAtEveryOffset) {
   const std::string path = TempPath("wal_torn_master.wal");
   const std::vector<Wal::Record> records = TestRecords();
-  std::vector<size_t> boundaries = {0};  // byte offset after each record
+  std::vector<size_t> boundaries;  // end of the magic, then of each record
   {
     auto wal = Wal::Open(path, {});
     ASSERT_TRUE(wal.ok());
+    boundaries.push_back(wal.value()->size_bytes());
+    ASSERT_EQ(boundaries[0], 8u);
     for (const Wal::Record& r : records) {
       ASSERT_TRUE(wal.value()->Append(r.type, r.payload).ok());
       boundaries.push_back(wal.value()->size_bytes());
@@ -199,7 +203,12 @@ TEST(WalRecoveryTest, TornTailTruncatedAtEveryOffset) {
       ++complete;
     }
     ASSERT_EQ(wal.value()->recovered().size(), complete) << "cut=" << cut;
-    EXPECT_EQ(wal.value()->truncated_bytes(), cut - boundaries[complete])
+    const size_t dropped = cut < boundaries[0] ? 0 : cut - boundaries[complete];
+    EXPECT_EQ(wal.value()->truncated_bytes(), dropped) << "cut=" << cut;
+    EXPECT_EQ(wal.value()->size_bytes(), boundaries[complete])
+        << "cut=" << cut;
+    EXPECT_EQ(ReadFileToString(torn).value(),
+              bytes.substr(0, boundaries[complete]))
         << "cut=" << cut;
     for (size_t i = 0; i < complete; ++i) {
       EXPECT_EQ(wal.value()->recovered()[i].payload, records[i].payload)
@@ -216,15 +225,18 @@ TEST(WalRecoveryTest, TornTailTruncatedAtEveryOffset) {
   }
 }
 
-// A flipped byte anywhere in the log invalidates the record containing it;
-// recovery keeps exactly the records before the corruption.
+// A flipped byte anywhere in the records invalidates the record containing
+// it; recovery keeps exactly the records before the corruption. A flip in
+// the file magic makes the whole log unrecognizable: Open refuses it and
+// leaves the file untouched.
 TEST(WalRecoveryTest, ByteFlipCorruptionKeepsValidPrefix) {
   const std::string path = TempPath("wal_flip_master.wal");
   const std::vector<Wal::Record> records = TestRecords();
-  std::vector<size_t> boundaries = {0};
+  std::vector<size_t> boundaries;
   {
     auto wal = Wal::Open(path, {});
     ASSERT_TRUE(wal.ok());
+    boundaries.push_back(wal.value()->size_bytes());
     for (const Wal::Record& r : records) {
       ASSERT_TRUE(wal.value()->Append(r.type, r.payload).ok());
       boundaries.push_back(wal.value()->size_bytes());
@@ -240,6 +252,11 @@ TEST(WalRecoveryTest, ByteFlipCorruptionKeepsValidPrefix) {
     corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x40);
     ASSERT_TRUE(WriteFileAtomic(flipped, corrupt).ok());
     auto wal = Wal::Open(flipped, {});
+    if (pos < boundaries[0]) {
+      EXPECT_EQ(wal.status().code(), StatusCode::kIoError) << "pos=" << pos;
+      EXPECT_EQ(ReadFileToString(flipped).value(), corrupt) << "pos=" << pos;
+      continue;
+    }
     ASSERT_TRUE(wal.ok()) << "pos=" << pos;
     // The record containing the flipped byte fails its checksum (or its
     // length field), so recovery stops right before it.
@@ -251,6 +268,50 @@ TEST(WalRecoveryTest, ByteFlipCorruptionKeepsValidPrefix) {
           << "pos=" << pos << " record " << i;
     }
     EXPECT_GT(wal.value()->truncated_bytes(), 0u) << "pos=" << pos;
+  }
+}
+
+// A log written by the previous WAL version: no file magic, records
+// checksummed with 64-bit FNV-1a.
+std::string ParentFormatLog(const std::vector<Wal::Record>& records) {
+  std::string log;
+  for (const Wal::Record& r : records) {
+    std::string header;
+    WritePod(&header, static_cast<uint32_t>(r.payload.size()));
+    WritePod(&header, r.type);
+    uint64_t fnv = 0xCBF29CE484222325ull;
+    for (const char c : header + r.payload) {
+      fnv ^= static_cast<unsigned char>(c);
+      fnv *= 0x100000001B3ull;
+    }
+    WritePod(&header, fnv);
+    log += header + r.payload;
+  }
+  return log;
+}
+
+// Every record of an older-format log fails the current checksum. Read as a
+// torn tail, the log would be truncated to nothing and every accepted,
+// unconsumed domain silently dropped; instead Open and Recover refuse it
+// and the file stays byte-identical.
+TEST(WalRecoveryTest, LogWithoutMagicIsRefusedUntouched) {
+  const std::string path = TempPath("wal_parent_format.wal");
+  for (const std::string& log :
+       {ParentFormatLog(TestRecords()), std::string("\x05\0\0", 3)}) {
+    ASSERT_TRUE(WriteFileAtomic(path, log).ok());
+    auto wal = Wal::Open(path, {});
+    ASSERT_EQ(wal.status().code(), StatusCode::kIoError);
+    EXPECT_NE(wal.status().message().find("bad magic"), std::string::npos)
+        << wal.status().ToString();
+    EXPECT_EQ(ReadFileToString(path).value(), log);
+
+    StreamEngineOptions options;
+    options.num_workers = 1;
+    options.wal_path = path;
+    StreamEngine engine(options);
+    EXPECT_EQ(engine.Recover("").code(), StatusCode::kIoError);
+    EXPECT_EQ(engine.num_streams(), 0);
+    EXPECT_EQ(ReadFileToString(path).value(), log);
   }
 }
 
