@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -397,6 +398,52 @@ void BM_StreamEngineIngest(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * streams * kDomains);
   state.SetLabel(std::to_string(streams) + "_streams");
 }
+
+// One continual CERL stage, BeginStage + TrainStage, in the ingest tenant
+// shape (rep {32}/16, head {32}, batch 32, memory 100, 10 epochs) on a
+// 300-unit, 16-feature domain. Unlike the fixed-shape MLP benches above
+// (BM_AutodiffTrainingStep, BM_TapeReuse, BM_TrainLoopEpoch), every step
+// splits both the new and the replayed memory batch by treatment, so most
+// tape nodes change shape from step to step. Each iteration restores the
+// trainer from a checkpoint taken after the baseline stage, so every
+// iteration trains the same stage; items are optimizer steps.
+void BM_CerlContinualStage(benchmark::State& state) {
+  const int kUnits = 300;
+  const int kFeatures = 16;
+  Rng rng(80);
+  const data::DataSplit first = BenchSplit(&rng, kUnits, kFeatures, 0.0);
+  const data::DataSplit second = BenchSplit(&rng, kUnits, kFeatures, 0.3);
+  core::CerlConfig config;
+  config.net.rep_hidden = {32};
+  config.net.rep_dim = 16;
+  config.net.head_hidden = {32};
+  config.train.epochs = 10;
+  config.train.patience = 3;
+  config.train.batch_size = 32;
+  config.train.learning_rate = 1e-2;
+  config.train.alpha = 0.2;
+  config.train.seed = 81;
+  config.memory_capacity = 100;
+  core::CerlTrainer trainer(config, kFeatures);
+  trainer.ObserveDomain(first);
+  std::string checkpoint;
+  CERL_CHECK(trainer.SerializeCheckpoint(&checkpoint).ok());
+
+  int64_t steps = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    trainer.Reset();
+    CERL_CHECK(trainer.DeserializeCheckpoint(checkpoint).ok());
+    state.ResumeTiming();
+    std::unique_ptr<core::CerlTrainer::StageContext> ctx =
+        trainer.BeginStage(second);
+    const causal::TrainStats stats = trainer.TrainStage(ctx.get());
+    benchmark::DoNotOptimize(stats);
+    steps += stats.steps;
+  }
+  state.SetItemsProcessed(steps);
+}
+BENCHMARK(BM_CerlContinualStage)->Unit(benchmark::kMillisecond);
 
 // Checkpoint substrate: in-memory serialize/deserialize of a trained
 // trainer (the per-stream cost inside an engine snapshot) and a full

@@ -50,8 +50,9 @@ Var Tape::ConstantImpl(M&& value) {
     ++size_;
   } else {
     Node& node = ClaimSlot();
-    if (node.value.SameShape(value)) {
-      node.value.CopyFrom(value);  // keep the retained buffer
+    if (value.size() <= node.value.capacity()) {
+      node.value.Resize(value.rows(), value.cols());  // keep the buffer
+      node.value.CopyFrom(value);
     } else {
       node.value = std::forward<M>(value);
       ++arena_allocations_;
@@ -99,10 +100,7 @@ Var Tape::NewNode(int rows, int cols, BackwardKernel kernel,
   node.requires_grad = (ctx.a >= 0 && nodes_[ctx.a].requires_grad) ||
                        (ctx.b >= 0 && nodes_[ctx.b].requires_grad);
   if (node.requires_grad) node.kernel = kernel;
-  if (node.value.rows() != rows || node.value.cols() != cols) {
-    node.value = Matrix(rows, cols);
-    ++arena_allocations_;
-  }
+  ResizeBuffer(&node.value, rows, cols);
   *out = &node.value;
   return Var(this, size_ - 1);
 }
@@ -112,15 +110,16 @@ Matrix& Tape::GradRef(int id) {
   Node& node = nodes_[id];
   if (node.grad_gen != gen_) {
     const Matrix& v = ValueOf(id);
-    if (!node.grad.SameShape(v)) {
-      node.grad = Matrix(v.rows(), v.cols());
-      ++arena_allocations_;
-    } else {
-      node.grad.Fill(0.0);
-    }
+    ResizeBuffer(&node.grad, v.rows(), v.cols());
+    node.grad.Fill(0.0);
     node.grad_gen = gen_;
   }
   return node.grad;
+}
+
+void Tape::ResizeBuffer(Matrix* m, int rows, int cols) {
+  if (static_cast<int64_t>(rows) * cols > m->capacity()) ++arena_allocations_;
+  m->Resize(rows, cols);
 }
 
 int Tape::StoreIndices(const int* idx, int n) {

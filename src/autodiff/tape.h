@@ -7,13 +7,14 @@
 //
 // The arena is reusable: Tape::Reset() rewinds the tape to empty while
 // retaining every node's value/grad Matrix buffer, the parameter-binding
-// vector, and the gather-index pool. Re-recording a graph with the same
-// topology and shapes (the steady state of mini-batch training, where the
-// graph is fixed for a fixed batch size) then performs zero heap
-// allocations: each op writes its forward result into the buffer the
-// previous pass left at the same arena position (shape-checked; a mismatch
-// reallocates just that node). Gradient buffers are invalidated logically
-// via a pass generation counter, so Reset() is O(1).
+// vector, and the gather-index pool. Each op writes its forward result into
+// the buffer the previous pass left at the same arena position, resized in
+// place: a buffer keeps its capacity across shape changes, so every
+// position only grows to the largest node ever recorded there. Once those
+// high-water sizes are reached, re-recording performs zero heap
+// allocations whatever the shapes (the treated/control split of a
+// minibatch changes most node shapes every step). Gradient buffers are
+// invalidated logically via a pass generation counter, so Reset() is O(1).
 //
 // Backward functions are not heap-allocated std::function closures: each
 // node stores a plain function pointer plus a small trivially-copyable
@@ -94,9 +95,9 @@ class Tape {
   Tape& operator=(const Tape&) = delete;
 
   /// Rewinds the tape to empty while retaining node buffers, binding and
-  /// index-pool capacity. Re-recording the same graph afterwards reuses the
-  /// retained Matrix storage allocation-free. Outstanding Vars from the
-  /// previous pass are invalidated.
+  /// index-pool capacity. Re-recording afterwards reuses the retained Matrix
+  /// storage, allocating only where a node outgrows its position's
+  /// capacity. Outstanding Vars from the previous pass are invalidated.
   void Reset();
 
   /// Constant input; no gradient is tracked through it. The value is copied
@@ -129,9 +130,10 @@ class Tape {
   /// Number of nodes currently on the tape.
   int size() const { return size_; }
 
-  /// Matrix buffer (re)allocations performed by the arena since
-  /// construction. Flat across steady-state reuse passes; tests use this to
-  /// prove the zero-churn property.
+  /// Matrix buffer allocations performed by the arena since construction:
+  /// only capacity growth counts, shrinking or reshaping within capacity
+  /// does not. Flat once every position has seen its largest node; tests
+  /// use this to prove the zero-churn property.
   int64_t arena_allocations() const { return arena_allocations_; }
 
   // --- Internal API used by op implementations -----------------------------
@@ -148,10 +150,11 @@ class Tape {
   /// Backward kernel: plain function pointer, no captures.
   using BackwardKernel = void (*)(Tape*, int self, const BackwardCtx&);
 
-  /// Appends a node of the given shape, reusing the retained value buffer at
-  /// this arena position when shapes match. Returns the node handle and sets
-  /// `*out` to the node's value buffer, which the op must FULLY overwrite
-  /// (reused buffers hold the previous pass's values, not zeros).
+  /// Appends a node of the given shape, resizing the retained value buffer
+  /// at this arena position in place (it reallocates only past its
+  /// capacity). Returns the node handle and sets `*out` to the node's value
+  /// buffer, which the op must FULLY overwrite: a reused buffer holds stale
+  /// values of whatever node last occupied the position, not zeros.
   /// requires_grad is inferred from ctx.a / ctx.b.
   Var NewNode(int rows, int cols, BackwardKernel kernel,
               const BackwardCtx& ctx, Matrix** out);
@@ -194,6 +197,9 @@ class Tape {
   /// `Matrix` to move).
   template <typename M>
   Var ConstantImpl(M&& value);
+  /// Resizes an arena buffer in place, counting capacity growth in
+  /// arena_allocations_.
+  void ResizeBuffer(Matrix* m, int rows, int cols);
 
   std::vector<Node> nodes_;
   int size_ = 0;       ///< live prefix of nodes_

@@ -9,6 +9,11 @@
 
 namespace cerl::causal {
 
+Var ZeroScalar(Tape* tape) {
+  static const linalg::Matrix kZero(1, 1, 0.0);
+  return tape->ConstantView(&kZero);
+}
+
 FactualForward BuildFactualLoss(RepOutcomeNet* net, Tape* tape, Var x_scaled,
                                 const std::vector<int>& t,
                                 const linalg::Vector& y_scaled,
@@ -51,7 +56,7 @@ FactualForward BuildFactualLoss(RepOutcomeNet* net, Tape* tape, Var x_scaled,
   }
 
   // Sum of squared factual errors over both arms, averaged over the batch.
-  Var sse = tape->Constant(linalg::Matrix(1, 1, 0.0));
+  Var sse = ZeroScalar(tape);
   if (out.n_treated > 0) {
     Var pred = net->Head(tape, out.rep_treated, 1);
     Var target = owned ? tape->Constant(scratch->y_treated)
@@ -77,13 +82,6 @@ void GatherTreatOutcome(const std::vector<int>& t, const linalg::Vector& y,
     (*t_out)[i] = t[idx[i]];
     (*y_out)[i] = y[idx[i]];
   }
-}
-
-uint64_t TreatedSplitShapeKey(const std::vector<int>& t,
-                              train::IndexSpan idx) {
-  uint64_t treated = 0;
-  for (int i : idx) treated += t[i] == 1 ? 1 : 0;
-  return (static_cast<uint64_t>(idx.size()) << 32) | treated;
 }
 
 train::LoopOptions MakeLoopOptions(const TrainConfig& config,
@@ -116,16 +114,6 @@ TrainStats CfrModel::FineTune(const data::CausalDataset& train,
   return RunTraining(train, valid, /*refit_scalers=*/false);
 }
 
-double CfrModel::ValidFactualLoss(RepOutcomeNet* net,
-                                  const linalg::Matrix& x_scaled,
-                                  const std::vector<int>& t,
-                                  const linalg::Vector& y_scaled) {
-  Tape tape;
-  Var x = tape.Constant(x_scaled);
-  FactualForward fwd = BuildFactualLoss(net, &tape, x, t, y_scaled);
-  return fwd.loss.scalar();
-}
-
 TrainStats CfrModel::RunTraining(const data::CausalDataset& train,
                                  const data::CausalDataset& valid,
                                  bool refit_scalers) {
@@ -145,15 +133,18 @@ TrainStats CfrModel::RunTraining(const data::CausalDataset& train,
   // elastic net. The loop mechanics live in train::TrainLoop, which also
   // assembles the covariate rows; the loss only gathers the per-unit
   // treatment/outcome scalars into step-reused buffers. The factual-split
-  // scratch and the Sinkhorn workspaces live here, next to the loop's
-  // persistent tapes, so steady-state steps allocate nothing in the batch
-  // loss; the workspaces are pooled by the (n_treated, n_control) split so
-  // the OT duals warm-start from the previous batch with the same split
-  // even when splits interleave.
+  // scratch and the Sinkhorn workspaces live here for the whole run, so
+  // steady-state steps allocate nothing in the batch loss; the workspaces
+  // are pooled by the (n_treated, n_control) split so the OT duals
+  // warm-start from the previous batch with the same split even when
+  // splits interleave. The per-epoch validation pass re-records on its own
+  // tape and scratch, aliasing x_valid.
   std::vector<int> batch_t;
   linalg::Vector batch_y;
   FactualScratch factual_scratch;
   ot::SinkhornWorkspacePool sinkhorn_pool;
+  Tape valid_tape;
+  FactualScratch valid_scratch;
   auto batch_loss = [&](Tape* tape, train::IndexSpan idx,
                         const std::vector<linalg::Matrix>& gathered) -> Var {
     GatherTreatOutcome(train.t, y_train, idx, &batch_t, &batch_y);
@@ -175,17 +166,15 @@ TrainStats CfrModel::RunTraining(const data::CausalDataset& train,
     return loss;
   };
   auto valid_loss = [&]() {
-    return ValidFactualLoss(&net_, x_valid, valid.t, y_valid);
+    valid_tape.Reset();
+    Var x = valid_tape.ConstantView(&x_valid);
+    return BuildFactualLoss(&net_, &valid_tape, x, valid.t, y_valid,
+                            &valid_scratch)
+        .loss.scalar();
   };
 
   train::TrainLoop loop(MakeLoopOptions(train_config_, "cfr"),
                         net_.Parameters(), &rng_);
-  // The loss graph's topology depends on the treated/control split, not
-  // just the batch size; keying the persistent tapes by both keeps every
-  // split shape on a warmed arena (same pooling rationale as above).
-  loop.SetBatchShapeKey([&train](train::IndexSpan idx) {
-    return TreatedSplitShapeKey(train.t, idx);
-  });
   return loop.Run(train.num_units(), {&x_train}, batch_loss, valid_loss);
 }
 

@@ -49,12 +49,16 @@ struct FactualForward {
   int n_control = 0;
 };
 
+/// A 1x1 zero node aliasing a shared constant: the seed of a sum of squared
+/// errors (0 + sse_treated + sse_control) without a per-step allocation.
+Var ZeroScalar(Tape* tape);
+
 /// Step-reused scratch for BuildFactualLoss's treated/control split (the
 /// allocation-free loss-builder path): index vectors retain capacity across
 /// steps and the target column matrices are ALIASED by the tape
 /// (ConstantView), so a scratch passed to BuildFactualLoss must outlive the
 /// tape pass and stay unmodified until Backward has run — own one per loss
-/// builder, next to the persistent tapes, exactly like SinkhornWorkspace.
+/// builder, for the whole training run, exactly like SinkhornWorkspace.
 struct FactualScratch {
   std::vector<int> treated_idx, control_idx;
   linalg::Matrix y_treated, y_control;  ///< n x 1 head targets
@@ -76,13 +80,6 @@ FactualForward BuildFactualLoss(RepOutcomeNet* net, Tape* tape, Var x_scaled,
 void GatherTreatOutcome(const std::vector<int>& t, const linalg::Vector& y,
                         train::IndexSpan idx, std::vector<int>* t_out,
                         linalg::Vector* y_out);
-
-/// Tape-pool shape key for factual losses (train::BatchShapeKeyFn): the
-/// loss-graph topology depends on the batch size AND its treated/control
-/// split, so batches sharing (size, n_treated) share a persistent tape.
-/// Shared by CfrModel and the CERL continual stage.
-uint64_t TreatedSplitShapeKey(const std::vector<int>& t,
-                              train::IndexSpan idx);
 
 /// CFR model: RepOutcomeNet + Eq. 5 training.
 class CfrModel {
@@ -113,10 +110,6 @@ class CfrModel {
   TrainStats RunTraining(const data::CausalDataset& train,
                          const data::CausalDataset& valid,
                          bool refit_scalers);
-  static double ValidFactualLoss(RepOutcomeNet* net,
-                                 const linalg::Matrix& x_scaled,
-                                 const std::vector<int>& t,
-                                 const linalg::Vector& y_scaled);
 
   NetConfig net_config_;
   TrainConfig train_config_;

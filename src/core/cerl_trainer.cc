@@ -222,46 +222,41 @@ std::unique_ptr<CerlTrainer::StageContext> CerlTrainer::BeginStage(
   return ctx;
 }
 
-double CerlTrainer::StageValidLoss(const StageContext& ctx) {
+double CerlTrainer::StageValidLoss(const StageContext& ctx,
+                                   autodiff::Tape* tape,
+                                   causal::FactualScratch* scratch) {
   using namespace autodiff;  // NOLINT
   causal::RepOutcomeNet* net = &model_->net();
   // Retention-aware early stopping: new-domain factual loss plus the
   // replay loss over the whole memory bank. The distillation term must NOT
   // enter the selection criterion: it is exactly zero at the warm-started
   // initialization, which would make the un-adapted old model an
-  // unbeatable snapshot and block adaptation entirely.
-  Tape tape;
-  Var x = tape.Constant(ctx.x_valid);
+  // unbeatable snapshot and block adaptation entirely. Both inputs are
+  // aliased: neither changes while the stage trains.
+  tape->Reset();
+  Var x = tape->ConstantView(&ctx.x_valid);
   causal::FactualForward vfwd = causal::BuildFactualLoss(
-      net, &tape, x, ctx.split->valid.t, ctx.y_valid);
+      net, tape, x, ctx.split->valid.t, ctx.y_valid, scratch);
   double loss = vfwd.loss.scalar();
   if (ctx.use_memory) {
-    Var mem_rep = tape.Constant(memory_.reps());
-    Var mem_mapped = ctx.phi->Forward(&tape, mem_rep);
-    std::vector<int> idx_t, idx_c;
-    linalg::Vector y_t, y_c;
+    Var mem_rep = tape->ConstantView(&memory_.reps());
+    Var mem_mapped = ctx.phi->Forward(tape, mem_rep);
+    // The scratch's index vectors are free again: GatherRows copied them.
+    std::vector<int>& idx_t = scratch->treated_idx;
+    std::vector<int>& idx_c = scratch->control_idx;
+    idx_t.clear();
+    idx_c.clear();
     for (int i = 0; i < memory_.size(); ++i) {
-      const double ys = net->y_scaler().Transform(memory_.y()[i]);
-      if (memory_.t()[i] == 1) {
-        idx_t.push_back(i);
-        y_t.push_back(ys);
-      } else {
-        idx_c.push_back(i);
-        y_c.push_back(ys);
-      }
+      (memory_.t()[i] == 1 ? idx_t : idx_c).push_back(i);
     }
     double sse = 0.0;
-    if (!idx_t.empty()) {
-      Var pred = net->Head(&tape, GatherRows(mem_mapped, idx_t), 1);
-      for (size_t i = 0; i < idx_t.size(); ++i) {
-        const double d = pred.value()(static_cast<int>(i), 0) - y_t[i];
-        sse += d * d;
-      }
-    }
-    if (!idx_c.empty()) {
-      Var pred = net->Head(&tape, GatherRows(mem_mapped, idx_c), 0);
-      for (size_t i = 0; i < idx_c.size(); ++i) {
-        const double d = pred.value()(static_cast<int>(i), 0) - y_c[i];
+    for (int treatment : {1, 0}) {
+      const std::vector<int>& idx = treatment == 1 ? idx_t : idx_c;
+      if (idx.empty()) continue;
+      Var pred = net->Head(tape, GatherRows(mem_mapped, idx), treatment);
+      for (size_t i = 0; i < idx.size(); ++i) {
+        const double d = pred.value()(static_cast<int>(i), 0) -
+                         net->y_scaler().Transform(memory_.y()[idx[i]]);
         sse += d * d;
       }
     }
@@ -290,19 +285,24 @@ TrainStats CerlTrainer::TrainContinualStage(StageContext* ctx) {
   const int mem_batch = ctx->mem_batch;
   Rng& loop_rng = ctx->loop_rng;
 
-  auto valid_loss_fn = [this, ctx]() { return StageValidLoss(*ctx); };
   // Eq. 9 per-batch objective; the epoch/minibatch/early-stopping mechanics
   // live in train::TrainLoop, which assembles the row gathers of x_train
   // and old_reps_train. Scalar/memory gathers and the factual/memory split
-  // land in step-reused scratch, and the Sinkhorn
-  // workspaces (owned here, next to the loop's persistent tapes, pooled by
-  // the global treated/control split) warm-start the balancing duals from
-  // the previous step with the same split.
+  // land in step-reused scratch, and the Sinkhorn workspaces (owned here
+  // for the whole stage, pooled by the global treated/control split)
+  // warm-start the balancing duals from the previous step with the same
+  // split. The per-epoch validation pass re-records on its own tape.
   std::vector<int> batch_t;
   linalg::Vector batch_y;
+  std::vector<int> mem_idx;
   linalg::Matrix mem_rep_gathered;
   causal::FactualScratch factual_scratch;
   ot::SinkhornWorkspacePool sinkhorn_pool;
+  Tape valid_tape;
+  causal::FactualScratch valid_scratch;
+  auto valid_loss_fn = [&]() {
+    return StageValidLoss(*ctx, &valid_tape, &valid_scratch);
+  };
   // Second scratch for the memory-batch split: same fields, same
   // tape-aliasing lifetime contract (see FactualScratch), filled here
   // because the memory targets route through mem_idx and the y scaler.
@@ -342,8 +342,7 @@ TrainStats CerlTrainer::TrainContinualStage(StageContext* ctx) {
     if (use_memory) {
       // Memory replay: transformed old representations join the global
       // representation space (Eq. 8 first sum; balanced IPM below).
-      const std::vector<int> mem_idx =
-          memory_.SampleBatch(mem_batch, &loop_rng);
+      memory_.SampleBatch(mem_batch, &loop_rng, &mem_idx);
       memory_.reps().GatherRowsInto(mem_idx.data(), mem_batch,
                                     &mem_rep_gathered);
       Var mem_rep = tape->ConstantView(&mem_rep_gathered);
@@ -372,7 +371,7 @@ TrainStats CerlTrainer::TrainContinualStage(StageContext* ctx) {
         mem_scratch.y_control(static_cast<int>(i), 0) =
             net.y_scaler().Transform(memory_.y()[mem_idx[mem_control_idx[i]]]);
       }
-      Var mem_sse = tape->Constant(linalg::Matrix(1, 1, 0.0));
+      Var mem_sse = causal::ZeroScalar(tape);
       if (!mem_treated_idx.empty()) {
         Var rep_t = GatherRows(mem_transformed, mem_treated_idx);
         Var pred = net.Head(tape, rep_t, 1);
@@ -425,12 +424,6 @@ TrainStats CerlTrainer::TrainContinualStage(StageContext* ctx) {
       causal::MakeLoopOptions(stage_train,
                               "cerl stage " + std::to_string(ctx->stage)),
       ctx->params, &loop_rng);
-  // Tape pooling follows the new-data treated/control split (the memory
-  // split is drawn inside the loss and cannot be keyed ahead of time; its
-  // few shape-varying nodes re-record in place).
-  loop.SetBatchShapeKey([&train](train::IndexSpan idx) {
-    return causal::TreatedSplitShapeKey(train.t, idx);
-  });
   return loop.Run(train.num_units(), {&ctx->x_train, &ctx->old_reps_train},
                   batch_loss, valid_loss_fn);
 }

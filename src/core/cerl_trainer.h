@@ -158,7 +158,11 @@ class CerlTrainer {
  private:
   causal::TrainStats TrainContinualStage(StageContext* ctx);
   void SeedMemoryFromCurrent(const data::CausalDataset& train);
-  double StageValidLoss(const StageContext& ctx);
+  /// Early-stopping criterion of a continual stage, re-recorded on `tape`
+  /// with `scratch` for the treated/control splits (both owned by the
+  /// stage, reused every epoch).
+  double StageValidLoss(const StageContext& ctx, autodiff::Tape* tape,
+                        causal::FactualScratch* scratch);
 
   CerlConfig config_;
   int input_dim_;

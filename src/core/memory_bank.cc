@@ -111,11 +111,11 @@ void MemoryBank::Reduce(int capacity, bool use_herding, Rng* rng) {
   t_ = std::move(new_t);
 }
 
-std::vector<int> MemoryBank::SampleBatch(int batch_size, Rng* rng) const {
+void MemoryBank::SampleBatch(int batch_size, Rng* rng,
+                             std::vector<int>* out) const {
   CERL_CHECK(!empty());
-  std::vector<int> idx(batch_size);
-  for (int& v : idx) v = static_cast<int>(rng->UniformInt(size()));
-  return idx;
+  out->resize(batch_size);
+  for (int& v : *out) v = static_cast<int>(rng->UniformInt(size()));
 }
 
 }  // namespace cerl::core

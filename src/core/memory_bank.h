@@ -55,8 +55,9 @@ class MemoryBank {
   const linalg::Vector& y() const { return y_; }
   const std::vector<int>& t() const { return t_; }
 
-  /// Uniform-with-replacement batch of indices.
-  std::vector<int> SampleBatch(int batch_size, Rng* rng) const;
+  /// Uniform-with-replacement batch of indices, written into `out`
+  /// (resized; a retained vector is reused without allocating).
+  void SampleBatch(int batch_size, Rng* rng, std::vector<int>* out) const;
 
  private:
   // Serializes mutators (see the concurrency contract above). Reads during

@@ -52,6 +52,9 @@ class Matrix {
   double* data() { return data_.data(); }
   const double* data() const { return data_.data(); }
 
+  /// Elements the buffer holds before a Resize must reallocate.
+  int64_t capacity() const { return static_cast<int64_t>(data_.capacity()); }
+
   double& operator()(int r, int c) {
     CERL_DCHECK(r >= 0 && r < rows_ && c >= 0 && c < cols_);
     return data_[static_cast<size_t>(r) * cols_ + c];

@@ -2,31 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <string>
 
 #include "nn/optim.h"
 #include "util/check.h"
 #include "util/status.h"
-#include "util/keyed_pool.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
 namespace cerl::train {
 
-namespace {
-// Persistent tapes retained per batch-shape key. Two is enough for the
-// default key (full + tail batch); shape-refined keys (treated/control
-// splits) rotate through a few more before reuse kicks in.
-constexpr int kTapePoolCapacity = 8;
-}  // namespace
-
-std::vector<linalg::Matrix> SnapshotValues(
-    const std::vector<Parameter*>& params) {
-  std::vector<linalg::Matrix> snapshot;
-  snapshot.reserve(params.size());
-  for (const auto* p : params) snapshot.push_back(p->value);
-  return snapshot;
+void SnapshotValues(const std::vector<Parameter*>& params,
+                    std::vector<linalg::Matrix>* snapshot) {
+  snapshot->resize(params.size());
+  for (size_t i = 0; i < params.size(); ++i) (*snapshot)[i] = params[i]->value;
 }
 
 void RestoreValues(const std::vector<Parameter*>& params,
@@ -41,10 +30,6 @@ TrainLoop::TrainLoop(const LoopOptions& options,
       params_(std::move(params)),
       external_rng_(rng),
       owned_rng_(options.seed) {}
-
-void TrainLoop::SetBatchShapeKey(BatchShapeKeyFn fn) {
-  shape_key_fn_ = std::move(fn);
-}
 
 TrainStats TrainLoop::Run(int n, const BatchLossFn& batch_loss,
                           const ValidLossFn& valid_loss) {
@@ -70,15 +55,11 @@ TrainStats TrainLoop::Run(
   nn::Adam optimizer(params_, options_.learning_rate);
   const int batch = std::min(options_.batch_size, n);
 
-  // One persistent tape per distinct batch shape: the graph topology is
-  // fixed for a fixed shape key, so Reset() + re-record reuses every node
-  // buffer and the steady-state step allocates nothing. By default the key
-  // is the batch size — full batches share one tape, the tail batch (n %
-  // batch) gets its own so it does not thrash the full-batch arena once per
-  // epoch. A caller-provided shape key (SetBatchShapeKey) refines this so
-  // content-dependent topologies (treated/control splits) each keep a
-  // warmed arena too.
-  KeyedLruPool<Tape> tapes(kTapePoolCapacity);
+  // One persistent tape for the whole run: Reset() + re-record resizes
+  // every node buffer in place, so once each arena position has seen its
+  // largest node the step allocates nothing, whatever the batch shape
+  // (full or tail batch, any treated/control split).
+  Tape tape;
 
   // The batch's rows of each gather source, refilled in place every step on
   // the calling thread (the stream worker that trains this stage). Stable
@@ -88,7 +69,8 @@ TrainStats TrainLoop::Run(
   WallTimer timer;
   TrainStats stats;
   double best_valid = valid_loss();
-  std::vector<linalg::Matrix> best_snapshot = SnapshotValues(params_);
+  std::vector<linalg::Matrix> best_snapshot;
+  SnapshotValues(params_, &best_snapshot);
   int since_best = 0;
 
   bool stop = false;
@@ -102,11 +84,6 @@ TrainStats TrainLoop::Run(
       for (size_t s = 0; s < gather_sources.size(); ++s) {
         gather_sources[s]->GatherRowsInto(span.data(), count, &gathered[s]);
       }
-      const uint64_t shape_key = shape_key_fn_
-                                     ? shape_key_fn_(span)
-                                     : static_cast<uint64_t>(count);
-      Tape& tape =
-          *tapes.Acquire(shape_key, [] { return std::make_unique<Tape>(); });
       tape.Reset();
       Var loss = batch_loss(&tape, span, gathered);
       CERL_CHECK(loss.valid());
@@ -130,7 +107,7 @@ TrainStats TrainLoop::Run(
     const double epoch_valid = valid_loss();
     if (epoch_valid < best_valid - options_.min_improvement) {
       best_valid = epoch_valid;
-      best_snapshot = SnapshotValues(params_);
+      SnapshotValues(params_, &best_snapshot);
       since_best = 0;
     } else {
       stop = ++since_best >= options_.patience;

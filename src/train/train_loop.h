@@ -10,15 +10,15 @@
 //     minibatch matrices]) -> scalar Var, and
 //   - a validation-loss callback: () -> double.
 //
-// The loop is zero-churn in steady state: persistent tapes — pooled by
-// batch shape (by default the batch size, so full batches and the tail
-// batch each keep one; callers with shape-dependent graphs may refine the
-// key, e.g. CFR keys by the treated/control split) — are Reset() and
-// re-recorded each step, so after the first epoch no tape-node Matrix is
-// allocated. Batch indices are passed as a span of the epoch permutation
-// (no per-step index vector). When the caller registers gather sources,
-// the loop assembles each batch's row-gathers itself into matrices reused
-// from step to step.
+// The loop is zero-churn in steady state: one persistent tape per Run()
+// is Reset() and re-recorded each step. Its node buffers keep their
+// capacity across shape changes (full vs tail batch, a different
+// treated/control split every step), so once each node position has seen
+// its largest shape no tape-node Matrix is allocated. The early-stopping
+// snapshot is copied into retained matrices. Batch indices are passed as a
+// span of the epoch permutation (no per-step index vector). When the
+// caller registers gather sources, the loop assembles each batch's
+// row-gathers itself into matrices reused from step to step.
 //
 // Everything — gathers, kernels, the optimizer step and the per-epoch
 // validation pass — runs on the calling thread (in the stream engine, the
@@ -84,18 +84,20 @@ struct TrainStats {
   int64_t samples_seen = 0;      ///< sum of batch sizes over all steps
 };
 
-/// Copies current parameter values (early-stopping snapshots).
-std::vector<linalg::Matrix> SnapshotValues(
-    const std::vector<Parameter*>& params);
+/// Copies current parameter values into `snapshot` (early-stopping
+/// snapshots). Matrices already in `snapshot` are overwritten in place, so
+/// re-snapshotting the same parameters allocates nothing.
+void SnapshotValues(const std::vector<Parameter*>& params,
+                    std::vector<linalg::Matrix>* snapshot);
 
 /// Writes a snapshot back into the parameters.
 void RestoreValues(const std::vector<Parameter*>& params,
                    const std::vector<linalg::Matrix>& snapshot);
 
 /// Builds the scalar training loss for one mini-batch. The tape arrives
-/// Reset() but retains buffers from the previous step with the same batch
-/// size; `batch` spans the epoch permutation (the tail batch may be smaller
-/// than LoopOptions::batch_size but is never dropped).
+/// Reset() but retains the node buffers of every earlier step, whatever
+/// their shapes; `batch` spans the epoch permutation (the tail batch may be
+/// smaller than LoopOptions::batch_size but is never dropped).
 using BatchLossFn = std::function<Var(Tape* tape, IndexSpan batch)>;
 
 /// Loss builder for the assembled-minibatch path: `gathered[s]` holds the
@@ -108,14 +110,6 @@ using GatheredBatchLossFn = std::function<Var(
 
 /// Full validation criterion used for early stopping / snapshot selection.
 using ValidLossFn = std::function<double()>;
-
-/// Optional tape-pool key for a batch: batches mapping to the same key
-/// reuse the same persistent tape. Defaults to the batch size; callers
-/// whose graph topology also depends on the batch *content* (e.g. the
-/// treated/control split) can fold that into the key so every shape finds
-/// a warmed arena. Purely a reuse hint — any key function yields identical
-/// numerics.
-using BatchShapeKeyFn = std::function<uint64_t(IndexSpan batch)>;
 
 /// Mini-batch gradient-descent driver with early stopping.
 class TrainLoop {
@@ -143,15 +137,11 @@ class TrainLoop {
                  const GatheredBatchLossFn& batch_loss,
                  const ValidLossFn& valid_loss);
 
-  /// Refines the tape-pool key (see BatchShapeKeyFn). Default: batch size.
-  void SetBatchShapeKey(BatchShapeKeyFn fn);
-
  private:
   LoopOptions options_;
   std::vector<Parameter*> params_;
   Rng* external_rng_;
   Rng owned_rng_;
-  BatchShapeKeyFn shape_key_fn_;
 };
 
 }  // namespace cerl::train

@@ -1,9 +1,10 @@
 // Tape arena reuse: Reset() + re-record must be bit-identical to a fresh
 // tape (same values, same gradients) for every hot op, must tolerate shape
 // and topology changes between passes, and must perform zero tape-node
-// Matrix allocations in steady state. Also grad-checks (central
-// differences) the in-place backward rewrites on composite expressions
-// that chain every touched op.
+// Matrix allocations in steady state — also when every pass changes the
+// node shapes, since node buffers keep their capacity. Also grad-checks
+// (central differences) the in-place backward rewrites on composite
+// expressions that chain every touched op.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -204,6 +205,123 @@ TEST(TapeReuseTest, SteadyStateTrainingStepAllocatesNothing) {
   for (int i = 0; i < 50; ++i) step();
   EXPECT_EQ(tape.arena_allocations(), warm)
       << "steady-state steps must not allocate tape-node matrices";
+}
+
+// A factual-style graph (CFR's Eq. 4 shape): a shared representation of
+// the batch, split into treated and control rows that each feed their own
+// head, both sums of squared errors added onto a zero seed, plus a
+// treated x control cross term (the shape of an IPM cost matrix). A group
+// that is empty records no nodes, as in BuildFactualLoss, so the split
+// changes both node shapes and the topology.
+struct FactualStyleNets {
+  nn::Mlp rep, head_treated, head_control;
+  std::vector<Parameter*> params;
+
+  explicit FactualStyleNets(Rng* rng)
+      : rep(rng, RepConfig()), head_treated(rng, HeadConfig()),
+        head_control(rng, HeadConfig()) {
+    for (nn::Mlp* net : {&rep, &head_treated, &head_control}) {
+      for (Parameter* p : net->Parameters()) params.push_back(p);
+    }
+  }
+  static nn::MlpConfig RepConfig() {
+    nn::MlpConfig c;
+    c.dims = {5, 8, 4};
+    return c;
+  }
+  static nn::MlpConfig HeadConfig() {
+    nn::MlpConfig c;
+    c.dims = {4, 6, 1};
+    return c;
+  }
+
+  Var Loss(Tape* tape, const Matrix& x, const Matrix& y,
+           const std::vector<int>& treated,
+           const std::vector<int>& control) {
+    static const Matrix kZero(1, 1, 0.0);
+    Var rep_all = rep.Forward(tape, tape->ConstantView(&x));
+    Var y_all = tape->ConstantView(&y);
+    Var sse = tape->ConstantView(&kZero);
+    Var rep_t, rep_c;
+    if (!treated.empty()) {
+      rep_t = GatherRows(rep_all, treated);
+      Var err = Sub(head_treated.Forward(tape, rep_t),
+                    GatherRows(y_all, treated));
+      sse = Add(sse, Sum(Square(err)));
+    }
+    if (!control.empty()) {
+      rep_c = GatherRows(rep_all, control);
+      Var err = Sub(head_control.Forward(tape, rep_c),
+                    GatherRows(y_all, control));
+      sse = Add(sse, Sum(Square(err)));
+    }
+    if (rep_t.valid() && rep_c.valid()) {
+      sse = Add(sse, ScalarMul(Mean(MatMulBt(rep_t, rep_c)), 0.1));
+    }
+    return ScalarMul(sse, 1.0 / x.rows());
+  }
+};
+
+// One tape re-records the factual-style graph with a different split on
+// every pass, empty groups included. Once a warm-up pass has recorded both
+// groups at the full batch size, no pass may allocate a node buffer, and
+// every pass's loss and parameter gradients must equal, bit for bit, the
+// same pass recorded on a fresh tape (which catches an op reading stale
+// contents of a shrunk buffer).
+TEST(TapeReuseTest, VaryingSplitsReuseCapacityBitIdentically) {
+  Rng rng(46);
+  FactualStyleNets nets(&rng);
+  const int n = 12;
+  const Matrix x = RandomMatrix(&rng, n, 5);
+  const Matrix y = RandomMatrix(&rng, n, 1);
+
+  auto record = [&](Tape* tape, const std::vector<int>& treated,
+                    const std::vector<int>& control, double* loss,
+                    std::vector<Matrix>* grads) {
+    for (Parameter* p : nets.params) p->ZeroGrad();
+    Var out = nets.Loss(tape, x, y, treated, control);
+    tape->Backward(out);
+    *loss = out.scalar();
+    grads->clear();
+    for (const Parameter* p : nets.params) grads->push_back(p->grad);
+  };
+
+  Tape tape;
+  std::vector<int> all(n);
+  for (int i = 0; i < n; ++i) all[i] = i;
+  double loss = 0.0;
+  std::vector<Matrix> grads;
+  record(&tape, all, all, &loss, &grads);  // warm-up: both groups full size
+  const int64_t warm = tape.arena_allocations();
+  EXPECT_GT(warm, 0);
+
+  const std::vector<int> treated_counts = {5, 0, 12, 1, 11, 7, 0, 3, 12, 6};
+  for (size_t pass = 0; pass < treated_counts.size(); ++pass) {
+    // A random membership with the pass's treated count.
+    const std::vector<int> order = rng.Permutation(n);
+    std::vector<int> treated, control;
+    for (int i = 0; i < n; ++i) {
+      (order[i] < treated_counts[pass] ? treated : control).push_back(i);
+    }
+
+    tape.Reset();
+    record(&tape, treated, control, &loss, &grads);
+    EXPECT_EQ(tape.arena_allocations(), warm) << "pass " << pass;
+
+    Tape fresh;
+    double fresh_loss = 0.0;
+    std::vector<Matrix> fresh_grads;
+    record(&fresh, treated, control, &fresh_loss, &fresh_grads);
+    EXPECT_EQ(loss, fresh_loss) << "pass " << pass;
+    ASSERT_EQ(grads.size(), fresh_grads.size());
+    for (size_t i = 0; i < grads.size(); ++i) {
+      ASSERT_TRUE(grads[i].SameShape(fresh_grads[i]));
+      for (int64_t e = 0; e < grads[i].size(); ++e) {
+        ASSERT_EQ(grads[i].data()[e], fresh_grads[i].data()[e])
+            << "pass " << pass << " parameter " << i << " element " << e;
+      }
+    }
+  }
 }
 
 TEST(TapeReuseTest, ConstantViewAliasesWithoutCopy) {

@@ -2,7 +2,8 @@
 // restore, patience accounting, full per-epoch sample coverage including
 // the tail batch (regression: the pre-extraction loops dropped up to
 // batch_size-1 samples per epoch), gathered-row minibatch assembly, and
-// allocation-free steady-state steps.
+// allocation-free steady-state steps, also when the batch content changes
+// the loss graph's shapes every step.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -215,12 +216,12 @@ TEST(TrainLoopAssemblyTest, GatheredRowsMatchBatchIndices) {
   EXPECT_EQ(steps, 3 * 6);  // five full batches + the tail, per epoch
 }
 
-// Once the first epoch has warmed the tapes (one per batch shape), the
-// gather matrices and the Adam moments, nothing from one batch-loss call to
-// the next — the loss graph, Backward, the optimizer step and the next
-// batch's gathers — may touch the heap. Two parameters and two gather
-// sources of different widths, with a tail batch (n = 23, batch 4) so the
-// gather matrices shrink to the tail shape inside every epoch.
+// Once the first epoch has warmed the tape, the gather matrices and the
+// Adam moments, nothing from one batch-loss call to the next — the loss
+// graph, Backward, the optimizer step and the next batch's gathers — may
+// touch the heap. Two parameters and two gather sources of different
+// widths, with a tail batch (n = 23, batch 4) so the gather matrices shrink
+// to the tail shape inside every epoch.
 TEST(TrainLoopAllocationTest, SteadyStateStepsDoNotAllocate) {
   const int n = 23, dx = 5, dy = 2, batch = 4, epochs = 4;
   linalg::Matrix x(n, dx), y(n, dy);
@@ -268,11 +269,89 @@ TEST(TrainLoopAllocationTest, SteadyStateStepsDoNotAllocate) {
   EXPECT_EQ(steady_allocations, 0);
 }
 
+// A loss whose graph depends on the batch content, as BuildFactualLoss's
+// treated/control split does: each batch's rows are split by a per-sample
+// label into two groups with their own nodes, and an empty group records
+// none. The split changes node shapes (and, with an empty group, the
+// topology) from step to step; the loop keeps one tape and is given no
+// shape hint. The first step records both groups at the full batch size,
+// which lifts every node position to its largest shape; after that no
+// step may touch the heap.
+TEST(TrainLoopAllocationTest, ContentSplitStepsDoNotAllocate) {
+  const int n = 23, dx = 5, batch = 4, epochs = 4;
+  linalg::Matrix x(n, dx);
+  std::vector<int> label(n);
+  for (int r = 0; r < n; ++r) {
+    for (int c = 0; c < dx; ++c) x(r, c) = 0.01 * r - 0.1 * c;
+    label[r] = (r % 5 < 2) ? 1 : 0;
+  }
+  Parameter w1(linalg::Matrix(dx, 1, 0.1), "w1");
+  Parameter w0(linalg::Matrix(dx, 1, -0.1), "w0");
+  const linalg::Matrix zero(1, 1, 0.0);
+  LoopOptions options;
+  options.epochs = epochs;
+  options.batch_size = batch;
+  options.patience = 100;
+  const int steps_per_epoch = (n + batch - 1) / batch;
+
+  std::vector<int> group1, group0;
+  int calls = 0;
+  int checked = 0;
+  int checked_empty_group = 0;
+  int64_t at_previous_call = 0;
+  int64_t steady_allocations = 0;
+  TrainLoop loop(options, {&w1, &w0});
+  loop.Run(
+      n, {&x},
+      [&](Tape* tape, IndexSpan idx,
+          const std::vector<linalg::Matrix>& gathered) {
+        const int64_t now =
+            g_heap_allocations.load(std::memory_order_relaxed);
+        const bool steady =
+            calls >= steps_per_epoch && calls % steps_per_epoch != 0;
+        if (steady) {
+          steady_allocations += now - at_previous_call;
+          ++checked;
+        }
+        at_previous_call = now;
+        const bool warm_up = calls == 0;
+        ++calls;
+        group1.clear();
+        group0.clear();
+        for (int i = 0; i < idx.size(); ++i) {
+          if (warm_up || label[idx[i]] == 1) group1.push_back(i);
+          if (warm_up || label[idx[i]] == 0) group0.push_back(i);
+        }
+        if (steady && (group1.empty() || group0.empty())) {
+          ++checked_empty_group;
+        }
+        Var xb = tape->ConstantView(&gathered[0]);
+        Var loss = tape->ConstantView(&zero);
+        if (!group1.empty()) {
+          Var p1 = autodiff::MatMul(autodiff::GatherRows(xb, group1),
+                                    tape->Param(&w1));
+          loss = autodiff::Add(loss, autodiff::Sum(autodiff::Square(p1)));
+        }
+        if (!group0.empty()) {
+          Var p0 = autodiff::MatMul(autodiff::GatherRows(xb, group0),
+                                    tape->Param(&w0));
+          loss = autodiff::Add(loss, autodiff::Sum(autodiff::Square(p0)));
+        }
+        return loss;
+      },
+      [&]() { return 1.0; });
+  EXPECT_EQ(calls, epochs * steps_per_epoch);
+  EXPECT_EQ(checked, (epochs - 1) * (steps_per_epoch - 1));
+  EXPECT_GT(checked_empty_group, 0) << "no steady step had an empty group";
+  EXPECT_EQ(steady_allocations, 0);
+}
+
 TEST(TrainLoopSnapshotTest, SnapshotRestoreRoundTrips) {
   Parameter a(linalg::Matrix(2, 3, 1.5), "a");
   Parameter b(linalg::Matrix(1, 1, -2.0), "b");
   std::vector<Parameter*> params = {&a, &b};
-  auto snapshot = SnapshotValues(params);
+  std::vector<linalg::Matrix> snapshot;
+  SnapshotValues(params, &snapshot);
   a.value.Fill(9.0);
   b.value.Fill(9.0);
   RestoreValues(params, snapshot);
