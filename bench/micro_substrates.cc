@@ -190,9 +190,8 @@ void BM_VecExp(benchmark::State& state) {
 }
 BENCHMARK(BM_VecExp)->Arg(256)->Arg(4096)->Arg(65536);
 
-// Cold-start Sinkhorn solves. Arg(1): the workspace solver (arena buffers,
-// parallel kernels, vectorized exp; warm start disabled so every solve runs
-// the full iteration). Arg(0): the allocate-per-call reference solver.
+// Sinkhorn solves. Arg(1): the workspace solver (arena buffers, SIMD
+// kernels, vectorized exp). Arg(0): the allocate-per-call reference solver.
 void BM_Sinkhorn(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const bool workspace = state.range(1) != 0;
@@ -201,7 +200,6 @@ void BM_Sinkhorn(benchmark::State& state) {
   linalg::Matrix b = RandomMatrix(&rng, n, 16);
   linalg::Matrix cost = linalg::PairwiseSquaredDistances(a, b);
   ot::SinkhornConfig config;
-  config.warm_start = false;
   ot::SinkhornWorkspace ws;
   for (auto _ : state) {
     if (workspace) {
@@ -221,28 +219,6 @@ BENCHMARK(BM_Sinkhorn)
     ->Args({64, 1})
     ->Args({128, 0})
     ->Args({128, 1});
-
-// Warm-started steady state: the cost drifts slightly each iteration (as
-// representations do between SGD steps) and the duals carry over.
-void BM_SinkhornWarm(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  Rng rng(3);
-  linalg::Matrix a = RandomMatrix(&rng, n, 16);
-  linalg::Matrix b = RandomMatrix(&rng, n, 16);
-  ot::SinkhornConfig config;
-  ot::SinkhornWorkspace ws;
-  for (auto _ : state) {
-    state.PauseTiming();
-    for (int64_t i = 0; i < a.size(); ++i) {
-      a.data()[i] += rng.Normal(0.0, 1e-3);
-    }
-    linalg::Matrix cost = linalg::PairwiseSquaredDistances(a, b);
-    state.ResumeTiming();
-    auto info = ot::SolveSinkhorn(cost, config, &ws);
-    benchmark::DoNotOptimize(info);
-  }
-}
-BENCHMARK(BM_SinkhornWarm)->Arg(32)->Arg(64)->Arg(128);
 
 void BM_HerdingSelect(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -303,30 +279,35 @@ void BM_CorrelationMatrixGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_CorrelationMatrixGeneration);
 
-// One full balancing-penalty training step as the CFR/CERL loss builders
-// run it: persistent tape + Sinkhorn workspace, forward, backward, and a
-// small SGD drift of the representations between steps (which is what the
-// warm-started duals exploit).
-void BM_WassersteinPenaltyStep(benchmark::State& state) {
+// One balancing-penalty training step as the CFR/CERL loss builders run it:
+// persistent tape + Sinkhorn workspace, forward and backward. Each
+// iteration draws its n treated and n control rows in a fresh order from a
+// fixed pool of 4n units, as TrainLoop's shuffled minibatches do, so
+// consecutive solves see different units in a new order.
+void BM_WassersteinPenaltyMinibatch(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Rng rng(13);
-  autodiff::Parameter reps(RandomMatrix(&rng, n, 16), "reps");
-  linalg::Matrix fixed = RandomMatrix(&rng, n, 16);
+  const linalg::Matrix pool = RandomMatrix(&rng, 4 * n, 16);
+  std::vector<int> order(4 * n);
+  for (int i = 0; i < 4 * n; ++i) order[i] = i;
+  autodiff::Parameter treated(linalg::Matrix(n, 16), "treated");
+  linalg::Matrix control;
   ot::SinkhornConfig config;
   autodiff::Tape tape;
   ot::SinkhornWorkspace ws;
   for (auto _ : state) {
+    rng.Shuffle(&order);
+    pool.GatherRowsInto(order.data(), n, &treated.value);
+    pool.GatherRowsInto(order.data() + n, n, &control);
     tape.Reset();
     autodiff::Var pen = ot::WassersteinPenalty(
-        tape.Param(&reps), tape.ConstantView(&fixed), config, &ws);
-    reps.ZeroGrad();
+        tape.Param(&treated), tape.ConstantView(&control), config, &ws);
+    treated.ZeroGrad();
     tape.Backward(pen);
-    for (int64_t i = 0; i < reps.value.size(); ++i) {
-      reps.value.data()[i] -= 1e-3 * reps.grad.data()[i];
-    }
+    benchmark::DoNotOptimize(treated.grad.data());
   }
 }
-BENCHMARK(BM_WassersteinPenaltyStep)->Arg(64)->Arg(128);
+BENCHMARK(BM_WassersteinPenaltyMinibatch)->Arg(64)->Arg(128);
 
 // Shared CERL-workload substrate for the engine/checkpoint benches: a toy
 // shifted domain and a small fast config.

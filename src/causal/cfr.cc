@@ -4,7 +4,6 @@
 
 #include "autodiff/composite.h"
 #include "autodiff/ops.h"
-#include "ot/workspace_pool.h"
 #include "util/logging.h"
 
 namespace cerl::causal {
@@ -22,15 +21,11 @@ FactualForward BuildFactualLoss(RepOutcomeNet* net, Tape* tape, Var x_scaled,
   const int n = x_scaled.rows();
   CERL_CHECK_EQ(static_cast<int>(t.size()), n);
   CERL_CHECK_EQ(static_cast<int>(y_scaled.size()), n);
+  CERL_CHECK(scratch != nullptr);
 
   FactualForward out;
   out.rep = net->Rep(tape, x_scaled);
 
-  // Owned scratch: per-call locals, targets copied onto the tape (the
-  // caller gave us nothing that outlives the pass to alias).
-  FactualScratch local;
-  const bool owned = scratch == nullptr;
-  if (owned) scratch = &local;
   std::vector<int>& treated_idx = scratch->treated_idx;
   std::vector<int>& control_idx = scratch->control_idx;
   treated_idx.clear();
@@ -59,14 +54,12 @@ FactualForward BuildFactualLoss(RepOutcomeNet* net, Tape* tape, Var x_scaled,
   Var sse = ZeroScalar(tape);
   if (out.n_treated > 0) {
     Var pred = net->Head(tape, out.rep_treated, 1);
-    Var target = owned ? tape->Constant(scratch->y_treated)
-                       : tape->ConstantView(&scratch->y_treated);
+    Var target = tape->ConstantView(&scratch->y_treated);
     sse = Add(sse, Sum(Square(Sub(pred, target))));
   }
   if (out.n_control > 0) {
     Var pred = net->Head(tape, out.rep_control, 0);
-    Var target = owned ? tape->Constant(scratch->y_control)
-                       : tape->ConstantView(&scratch->y_control);
+    Var target = tape->ConstantView(&scratch->y_control);
     sse = Add(sse, Sum(Square(Sub(pred, target))));
   }
   out.loss = ScalarMul(sse, 1.0 / std::max(1, n));
@@ -133,16 +126,14 @@ TrainStats CfrModel::RunTraining(const data::CausalDataset& train,
   // elastic net. The loop mechanics live in train::TrainLoop, which also
   // assembles the covariate rows; the loss only gathers the per-unit
   // treatment/outcome scalars into step-reused buffers. The factual-split
-  // scratch and the Sinkhorn workspaces live here for the whole run, so
-  // steady-state steps allocate nothing in the batch loss; the workspaces
-  // are pooled by the (n_treated, n_control) split so the OT duals
-  // warm-start from the previous batch with the same split even when
-  // splits interleave. The per-epoch validation pass re-records on its own
-  // tape and scratch, aliasing x_valid.
+  // scratch and the Sinkhorn workspace live here for the whole run, so
+  // steady-state steps allocate nothing in the batch loss. The per-epoch
+  // validation pass re-records on its own tape and scratch, aliasing
+  // x_valid.
   std::vector<int> batch_t;
   linalg::Vector batch_y;
   FactualScratch factual_scratch;
-  ot::SinkhornWorkspacePool sinkhorn_pool;
+  ot::SinkhornWorkspace sinkhorn_workspace;
   Tape valid_tape;
   FactualScratch valid_scratch;
   auto batch_loss = [&](Tape* tape, train::IndexSpan idx,
@@ -155,8 +146,7 @@ TrainStats CfrModel::RunTraining(const data::CausalDataset& train,
     if (train_config_.alpha > 0.0 && fwd.n_treated > 0 && fwd.n_control > 0) {
       Var ipm =
           ot::IpmPenalty(train_config_.ipm, fwd.rep_treated, fwd.rep_control,
-                         train_config_.sinkhorn,
-                         sinkhorn_pool.Acquire(fwd.n_treated, fwd.n_control));
+                         train_config_.sinkhorn, &sinkhorn_workspace);
       loss = Add(loss, ScalarMul(ipm, train_config_.alpha));
     }
     if (train_config_.lambda > 0.0) {

@@ -53,25 +53,24 @@ struct FactualForward {
 /// errors (0 + sse_treated + sse_control) without a per-step allocation.
 Var ZeroScalar(Tape* tape);
 
-/// Step-reused scratch for BuildFactualLoss's treated/control split (the
-/// allocation-free loss-builder path): index vectors retain capacity across
-/// steps and the target column matrices are ALIASED by the tape
-/// (ConstantView), so a scratch passed to BuildFactualLoss must outlive the
-/// tape pass and stay unmodified until Backward has run — own one per loss
-/// builder, for the whole training run, exactly like SinkhornWorkspace.
+/// Step-reused scratch for BuildFactualLoss's treated/control split: index
+/// vectors retain capacity across steps and the target column matrices are
+/// ALIASED by the tape (ConstantView), so a scratch passed to
+/// BuildFactualLoss must outlive the tape pass and stay unmodified until
+/// Backward has run — own one per loss builder, for the whole training run,
+/// exactly like SinkhornWorkspace.
 struct FactualScratch {
   std::vector<int> treated_idx, control_idx;
   linalg::Matrix y_treated, y_control;  ///< n x 1 head targets
 };
 
-/// Builds the two-headed factual MSE (Eq. 4) on scaled inputs/outcomes.
-/// Without a scratch the split buffers are per-call locals and the targets
-/// are copied onto the tape; with a scratch the steady state allocates
+/// Builds the two-headed factual MSE (Eq. 4) on scaled inputs/outcomes. The
+/// split buffers live in `scratch` (required), so the steady state allocates
 /// nothing and the targets alias the scratch (see FactualScratch).
 FactualForward BuildFactualLoss(RepOutcomeNet* net, Tape* tape, Var x_scaled,
                                 const std::vector<int>& t,
                                 const linalg::Vector& y_scaled,
-                                FactualScratch* scratch = nullptr);
+                                FactualScratch* scratch);
 
 /// Gathers elements `idx` of (t, y) into caller-owned buffers (resized as
 /// needed, reused across steps). This is the scalar half of batch assembly;

@@ -8,7 +8,6 @@
 
 #include "autodiff/composite.h"
 #include "autodiff/ops.h"
-#include "ot/workspace_pool.h"
 #include "train/train_loop.h"
 #include "util/fault_injection.h"
 #include "util/logging.h"
@@ -288,16 +287,15 @@ TrainStats CerlTrainer::TrainContinualStage(StageContext* ctx) {
   // Eq. 9 per-batch objective; the epoch/minibatch/early-stopping mechanics
   // live in train::TrainLoop, which assembles the row gathers of x_train
   // and old_reps_train. Scalar/memory gathers and the factual/memory split
-  // land in step-reused scratch, and the Sinkhorn workspaces (owned here
-  // for the whole stage, pooled by the global treated/control split)
-  // warm-start the balancing duals from the previous step with the same
-  // split. The per-epoch validation pass re-records on its own tape.
+  // land in step-reused scratch, and the balancing solve runs in one
+  // Sinkhorn workspace owned here for the whole stage. The per-epoch
+  // validation pass re-records on its own tape.
   std::vector<int> batch_t;
   linalg::Vector batch_y;
   std::vector<int> mem_idx;
   linalg::Matrix mem_rep_gathered;
   causal::FactualScratch factual_scratch;
-  ot::SinkhornWorkspacePool sinkhorn_pool;
+  ot::SinkhornWorkspace sinkhorn_workspace;
   Tape valid_tape;
   causal::FactualScratch valid_scratch;
   auto valid_loss_fn = [&]() {
@@ -398,10 +396,9 @@ TrainStats CerlTrainer::TrainContinualStage(StageContext* ctx) {
 
     // Balance the global representation space (Eq. 3 over memory ∪ new).
     if (stage_train.alpha > 0.0 && n_treated > 0 && n_control > 0) {
-      Var ipm =
-          ot::IpmPenalty(stage_train.ipm, rep_treated_global,
-                         rep_control_global, stage_train.sinkhorn,
-                         sinkhorn_pool.Acquire(n_treated, n_control));
+      Var ipm = ot::IpmPenalty(stage_train.ipm, rep_treated_global,
+                               rep_control_global, stage_train.sinkhorn,
+                               &sinkhorn_workspace);
       loss = Add(loss, ScalarMul(ipm, stage_train.alpha));
     }
     // Elastic net on the new feature-selection layer (Eq. 1).

@@ -25,6 +25,7 @@
 // The magic is checked before the checksum, so a blob of another version
 // (CERLCKP1 differs only in its FNV-1a checksum) fails with an error that
 // names its magic instead of reading as corruption.
+#include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -43,6 +44,8 @@ constexpr std::string_view kMagic = "CERLCKP2";
 // memory_capacity, typically hundreds) yet small enough that a corrupted
 // count can neither overflow the byte math nor the int casts.
 constexpr uint32_t kMaxMemoryRows = 1u << 27;
+
+bool PositiveFinite(double v) { return std::isfinite(v) && v > 0.0; }
 
 }  // namespace
 
@@ -153,6 +156,17 @@ Status CerlTrainer::DeserializeCheckpoint(std::string_view bytes) {
   CERL_RETURN_IF_ERROR(r.ReadPod(&y_fitted, "y-scaler fitted flag"));
   if (y_fitted > 1) {
     return Status::IoError("checkpoint y-scaler flag is not 0/1");
+  }
+  // The scalers divide by these stds and OutcomeScaler::Restore CHECK-aborts
+  // on a non-positive one. Fit floors every std at 1e-8, so no blob it
+  // wrote is rejected here.
+  if (!PositiveFinite(y_std)) {
+    return Status::IoError("checkpoint y-scaler std is not positive finite");
+  }
+  for (double s : x_std) {
+    if (!PositiveFinite(s)) {
+      return Status::IoError("checkpoint x-scaler std is not positive finite");
+    }
   }
 
   // Fresh model with this trainer's architecture; the parameter block must

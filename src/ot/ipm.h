@@ -22,12 +22,12 @@ autodiff::Var PairwiseSquaredDistancesVar(autodiff::Var a, autodiff::Var b);
 /// detached cost. Scalar Var. Either side empty => constant 0.
 ///
 /// With a workspace (the training hot path) the solve runs in the
-/// workspace's arena — warm-started duals, SIMD kernels, zero
-/// steady-state allocations — and the plan enters the tape as a constant
-/// VIEW of the workspace's plan buffer instead of a fresh Matrix copy. The
-/// workspace must therefore outlive the tape pass and must not be re-solved
-/// until Backward has run (one workspace per loss builder, owned next to
-/// the persistent tapes, satisfies this by construction).
+/// workspace's arena — SIMD kernels, zero steady-state allocations — and
+/// the plan enters the tape as a constant VIEW of the workspace's plan
+/// buffer instead of a fresh Matrix copy. The workspace must therefore
+/// outlive the tape pass and must not be re-solved until Backward has run
+/// (one workspace per loss builder, owned for the training run, satisfies
+/// this by construction).
 autodiff::Var WassersteinPenalty(autodiff::Var rep_treated,
                                  autodiff::Var rep_control,
                                  const SinkhornConfig& config,

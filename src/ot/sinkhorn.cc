@@ -14,14 +14,14 @@ using linalg::Matrix;
 using linalg::Vector;
 
 // Scaling variables at or below this are treated as numerical underflow: the
-// workspace solver retries cold / falls back to the log domain (matches the
-// historic scalar solver's threshold).
+// workspace solver falls back to the log domain (matches the historic scalar
+// solver's threshold).
 constexpr double kUnderflow = 1e-300;
 
 // A solve that exhausts max_iterations with a final row violation within
 // this factor of the tolerance is accepted as "slow but essentially
 // converged" (the reference solver's accept-at-max-iterations behaviour);
-// beyond it the workspace solver retries / falls back.
+// beyond it the workspace solver falls back to the log domain.
 constexpr double kNearMissFactor = 100.0;
 
 // Fast path: standard Sinkhorn matrix scaling u = a ./ (K v), v = b ./ (K^T u)
@@ -188,21 +188,12 @@ double RowViolation(const Vector& u, const Vector& kv, int n1, double a) {
   return violation;
 }
 
-// Column-marginal violation given ktu = K^T u.
-double ColViolation(const Vector& v, const Vector& ktu, int n2, double b) {
-  double violation = 0.0;
-  for (int j = 0; j < n2; ++j) violation += std::fabs(v[j] * ktu[j] - b);
-  return violation;
-}
-
-// Runs the u/v scaling iteration in the workspace buffers. `have_u` marks a
-// warm start where u already pairs with v (enabling the convergence check —
-// and thus a zero-iteration exit — before the first update). On
-// kNotConverged the final pair's violation is left in *final_violation so
-// the caller can decide whether the result is usable.
+// Runs the u/v scaling iteration in the workspace buffers from the cold
+// start v = 1. On kNotConverged the final pair's violation is left in
+// *final_violation so the caller can decide whether the result is usable.
 ScalingOutcome RunScaling(const Matrix& kernel, const SinkhornConfig& config,
-                          double a, double b, bool have_u, Vector* u,
-                          Vector* v, Vector* kv, Vector* ktu, int* iterations,
+                          double a, double b, Vector* u, Vector* v, Vector* kv,
+                          Vector* ktu, int* iterations,
                           double* final_violation) {
   const int n1 = kernel.rows();
   const int n2 = kernel.cols();
@@ -213,34 +204,17 @@ ScalingOutcome RunScaling(const Matrix& kernel, const SinkhornConfig& config,
       *iterations = iter;
       return ScalingOutcome::kDegenerate;
     }
-    if (have_u) {
-      // u was computed against the previous kv, v against that u, and kv
-      // above is K v — the same quantity the reference solver checks, at
-      // O(n) extra cost (the kernel pass is shared with the u update).
-      if (RowViolation(*u, *kv, n1, a) < config.tolerance) {
-        // At iter > 0 the columns are exact by construction (v was just
-        // computed from this u and this kernel). At iter == 0 the pair is
-        // a warm start whose columns were exact for the PREVIOUS kernel
-        // only — cost drift could in principle move column mass while
-        // leaving every row sum intact, so a zero-iteration accept must
-        // also verify the column marginals (one extra K^T u pass, paid
-        // only on the accept candidate).
-        if (iter > 0) {
-          *iterations = iter;
-          return ScalingOutcome::kConverged;
-        }
-        KernelTransposeTimesVec(kernel, *u, ktu);
-        if (AllUsable(*ktu, n2) &&
-            ColViolation(*v, *ktu, n2, b) < config.tolerance) {
-          *iterations = iter;
-          return ScalingOutcome::kConverged;
-        }
-      }
+    // From the second iteration on, u was computed against the previous kv
+    // and v against that u, and kv above is K v — the same quantity the
+    // reference solver checks, at O(n) extra cost (the kernel pass is
+    // shared with the u update). The columns are exact by construction.
+    if (iter > 0 && RowViolation(*u, *kv, n1, a) < config.tolerance) {
+      *iterations = iter;
+      return ScalingOutcome::kConverged;
     }
     // vec_div_scalar is plain IEEE division — the same bits as the scalar
     // loop.
     linalg::simd::Kernels().vec_div_scalar(a, kv->data(), u->data(), n1);
-    have_u = true;
     KernelTransposeTimesVec(kernel, *u, ktu);
     if (!AllUsable(*ktu, n2)) {
       *iterations = iter;
@@ -297,22 +271,6 @@ double AssemblePlanCost(const Matrix& cost, const Matrix& kernel,
 
 }  // namespace
 
-bool SinkhornWorkspace::AdaptWarmStart(int rows, int cols) {
-  if (warm_rows_ <= 0 || warm_cols_ <= 0) return false;
-  if (warm_rows_ == rows && warm_cols_ == cols) return false;
-  // resize keeps the prefix; only entries beyond the old shape get the cold
-  // value. The scale of the retained duals is irrelevant: the first scaling
-  // update recomputes u entirely from K·v (and v from Kᵀ·u), so only the
-  // dual profile carries warm-start information.
-  u_.resize(rows);
-  for (int i = warm_rows_; i < rows; ++i) u_[i] = 1.0;
-  v_.resize(cols);
-  for (int j = warm_cols_; j < cols; ++j) v_[j] = 1.0;
-  warm_rows_ = rows;
-  warm_cols_ = cols;
-  return true;
-}
-
 void SinkhornWorkspace::Reserve(int n1, int n2) {
   const int64_t elems = static_cast<int64_t>(n1) * n2;
   if (elems > mat_high_water_) {
@@ -350,9 +308,6 @@ Result<SinkhornSolveInfo> SolveSinkhorn(const linalg::Matrix& cost,
   if (CERL_FAULT_POINT(FaultPoint::kSinkhornDiverge)) {
     return Status::NumericalError("injected sinkhorn non-convergence");
   }
-  if (config.warm_start && config.adaptive_warm_start) {
-    workspace->AdaptWarmStart(n1, n2);
-  }
 
   SinkhornWorkspace& ws = *workspace;
   ws.Reserve(n1, n2);
@@ -382,59 +337,35 @@ Result<SinkhornSolveInfo> SolveSinkhorn(const linalg::Matrix& cost,
     linalg::VecExp(krow, krow, n2);
   }
 
-  const double a = 1.0 / n1;
-  const double b = 1.0 / n2;
-  const bool can_warm = config.warm_start && ws.has_warm_start(n1, n2);
+  std::fill(ws.u_.begin(), ws.u_.end(), 1.0);
+  std::fill(ws.v_.begin(), ws.v_.end(), 1.0);
   SinkhornSolveInfo info;
-  // First attempt warm (when retained duals fit), then cold; a degenerate
-  // warm start must not poison the solve, it just costs one retry.
-  const int attempts = can_warm ? 2 : 1;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    const bool warm = can_warm && attempt == 0;
-    if (!warm) {
-      std::fill(ws.u_.begin(), ws.u_.end(), 1.0);
-      std::fill(ws.v_.begin(), ws.v_.end(), 1.0);
-    }
-    int iterations = 0;
-    double final_violation = 0.0;
-    const ScalingOutcome outcome =
-        RunScaling(ws.kernel_, config, a, b, /*have_u=*/warm, &ws.u_, &ws.v_,
-                   &ws.kv_, &ws.ktu_, &iterations, &final_violation);
-    if (outcome == ScalingOutcome::kDegenerate) continue;
-    // Exhausting max_iterations far from the tolerance means the scaling
-    // iteration is numerically stuck (tiny regularization): the plan would
-    // be visibly infeasible, so route to the log-domain solver instead of
-    // returning it. A near-miss (within 100x tolerance) is kept — that
-    // matches the reference solver's accept-at-max-iterations behaviour
-    // for merely slow convergence.
-    if (outcome == ScalingOutcome::kNotConverged &&
-        final_violation > kNearMissFactor * config.tolerance) {
-      continue;
-    }
-    const double total =
-        AssemblePlanCost(cost, ws.kernel_, ws.u_, ws.v_, &ws.plan_,
-                         &ws.row_scratch_);
-    if (std::isfinite(total)) {
-      info.cost = total;
-      info.iterations = iterations;
-      info.warm_started = warm;
-      ws.warm_rows_ = n1;
-      ws.warm_cols_ = n2;
-      return info;
-    }
+  double final_violation = 0.0;
+  const ScalingOutcome outcome = RunScaling(
+      ws.kernel_, config, 1.0 / n1, 1.0 / n2, &ws.u_, &ws.v_, &ws.kv_,
+      &ws.ktu_, &info.iterations, &final_violation);
+  // Exhausting max_iterations far from the tolerance means the scaling
+  // iteration is numerically stuck (tiny regularization): the plan would be
+  // visibly infeasible, so route to the log-domain solver instead of
+  // returning it. A near-miss (within 100x tolerance) is kept — that matches
+  // the reference solver's accept-at-max-iterations behaviour for merely
+  // slow convergence.
+  const bool stuck = outcome == ScalingOutcome::kNotConverged &&
+                     final_violation > kNearMissFactor * config.tolerance;
+  if (outcome != ScalingOutcome::kDegenerate && !stuck) {
+    info.cost = AssemblePlanCost(cost, ws.kernel_, ws.u_, ws.v_, &ws.plan_,
+                                 &ws.row_scratch_);
+    if (std::isfinite(info.cost)) return info;
   }
 
-  // Scaling under/overflowed even from a cold start: log-domain fallback
-  // (the rare small-regularization regime; allocates outside the workspace
-  // — correctness over churn here). The duals are not representable in the
-  // scaling form, so the warm start is dropped.
+  // Scaling under/overflowed: log-domain fallback (the rare
+  // small-regularization regime; allocates outside the workspace —
+  // correctness over churn here).
   SinkhornResult log_result =
       SolveLogDomain(cost, reg, config.max_iterations, config.tolerance);
   ws.plan_.CopyFrom(log_result.plan);
-  ws.DropWarmStart();
   info.cost = log_result.cost;
   info.iterations = log_result.iterations;
-  info.warm_started = false;
   info.used_log_domain = true;
   if (!std::isfinite(info.cost)) {
     return Status::NumericalError("sinkhorn: non-finite transport cost");

@@ -11,10 +11,12 @@
 //  - SolveSinkhorn(cost, config, workspace): the training hot path. All
 //    kernel/plan/dual/scratch buffers live in a caller-owned
 //    SinkhornWorkspace (the same arena pattern autodiff::Tape uses), so
-//    steady-state solves allocate nothing, the duals are warm-started from
-//    the previous solve of the same shape, and the K·v / Kᵀ·u products and
+//    steady-state solves allocate nothing, and the K·v / Kᵀ·u products and
 //    Gibbs-kernel exp run as whole-panel SIMD kernels on the calling thread
-//    with a fixed reduction order.
+//    with a fixed reduction order. Every solve starts cold (u = v = 1): a
+//    minibatch holds different units in a new order each step, so duals
+//    kept from an earlier solve describe other units and save no
+//    iterations. A solve's result depends only on its cost matrix.
 #pragma once
 
 #include <cstdint>
@@ -30,22 +32,6 @@ struct SinkhornConfig {
   double reg_fraction = 0.1;
   int max_iterations = 200;
   double tolerance = 1e-6;  ///< stop when marginal violation is below this
-  /// Workspace solves only: start the duals from the previous solve when the
-  /// problem shape matches. Representations drift slowly between SGD steps,
-  /// so warm starts typically converge in a handful of iterations (often
-  /// zero — the retained duals may already satisfy the tolerance).
-  bool warm_start = true;
-  /// Workspace solves only (and only with warm_start): when the retained
-  /// duals were computed for a DIFFERENT shape, adapt them to the new shape
-  /// (truncate, pad new entries with the cold value 1.0) instead of
-  /// discarding them. Minibatch treated/control splits vary from step to
-  /// step, so exact-shape warm starts rarely fire on heterogeneous streams;
-  /// the dual profile is still a far better starting point than a cold
-  /// start because u is fully recomputed from v (and v from u) in the first
-  /// scaling update — only the profile carries information, not the scale.
-  /// The adapted start is deterministic; a degenerate adapted start costs
-  /// one retry, exactly like a degenerate exact-shape warm start.
-  bool adaptive_warm_start = true;
 };
 
 /// Solution: the transport plan and the resulting OT cost <plan, cost>.
@@ -58,20 +44,17 @@ struct SinkhornResult {
 /// Outcome of a workspace solve. The plan itself stays in the workspace
 /// (SinkhornWorkspace::plan()) so the steady state copies nothing.
 struct SinkhornSolveInfo {
-  double cost = 0.0;      ///< <plan, cost>
-  int iterations = 0;     ///< dual updates performed (0: warm start already
-                          ///< satisfied the tolerance)
-  bool warm_started = false;    ///< duals were seeded from the previous solve
-  bool used_log_domain = false; ///< scaling degenerated; log-domain fallback
+  double cost = 0.0;             ///< <plan, cost>
+  int iterations = 0;            ///< dual updates performed
+  bool used_log_domain = false;  ///< scaling degenerated; log-domain fallback
 };
 
 class SinkhornWorkspace;
 
 /// Workspace overload: solves into the workspace's buffers. Steady-state
 /// solves with non-growing shapes perform zero heap allocations (asserted
-/// via SinkhornWorkspace::allocations()). Warm-starts the duals from the
-/// previous solve when config.warm_start and the shape matches; falls back
-/// to a cold start (and ultimately the log-domain solver) on numerical
+/// via SinkhornWorkspace::allocations()). Starts cold, like the reference
+/// solver, and falls back to the log-domain solver on numerical
 /// degeneration.
 Result<SinkhornSolveInfo> SolveSinkhorn(const linalg::Matrix& cost,
                                         const SinkhornConfig& config,
@@ -79,10 +62,9 @@ Result<SinkhornSolveInfo> SolveSinkhorn(const linalg::Matrix& cost,
 
 /// Reusable arena for SolveSinkhorn: the Gibbs kernel, the transport plan,
 /// the scaling duals u/v and the iteration scratch. Buffers grow to the
-/// high-water shape and are then reused; the retained duals double as the
-/// warm start for the next solve of the same shape. Not thread-safe: one
-/// workspace per concurrent solver (the trainers own one next to their
-/// persistent tapes).
+/// high-water shape and are then reused; no state carries from one solve to
+/// the next. Not thread-safe: one workspace per concurrent solver (each
+/// loss builder owns one for its training run).
 class SinkhornWorkspace {
  public:
   SinkhornWorkspace() = default;
@@ -99,23 +81,6 @@ class SinkhornWorkspace {
   /// way Tape::arena_allocations() proves the tape arena is zero-churn.
   int64_t allocations() const { return allocations_; }
 
-  /// Drops the retained duals so the next solve starts cold (used after the
-  /// problem changes discontinuously, e.g. a new stage's representations).
-  void DropWarmStart() { warm_rows_ = warm_cols_ = -1; }
-
-  /// True if a solve of this shape would warm-start from retained duals.
-  bool has_warm_start(int rows, int cols) const {
-    return warm_rows_ == rows && warm_cols_ == cols;
-  }
-
-  /// Reshapes retained duals from a previous solve of a different shape so a
-  /// `rows x cols` solve warm-starts from them (see
-  /// SinkhornConfig::adaptive_warm_start): existing entries keep their
-  /// values, entries beyond the old shape start at the cold value 1.0. No-op
-  /// without retained duals or when the shape already matches. Returns true
-  /// if the duals were reshaped.
-  bool AdaptWarmStart(int rows, int cols);
-
  private:
   friend Result<SinkhornSolveInfo> SolveSinkhorn(const linalg::Matrix&,
                                                  const SinkhornConfig&,
@@ -127,9 +92,8 @@ class SinkhornWorkspace {
 
   linalg::Matrix kernel_;  ///< exp(-C / reg)
   linalg::Matrix plan_;    ///< diag(u) K diag(v)
-  linalg::Vector u_, v_;   ///< scaling duals (retained => warm start)
+  linalg::Vector u_, v_;   ///< scaling duals
   linalg::Vector kv_, ktu_, row_scratch_;
-  int warm_rows_ = -1, warm_cols_ = -1;
   int64_t allocations_ = 0;
   int64_t mat_high_water_ = 0;
   int row_high_water_ = 0, col_high_water_ = 0;

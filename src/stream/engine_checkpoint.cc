@@ -219,11 +219,12 @@ void WriteConfig(std::string* out, const core::CerlConfig& c) {
   WritePod(out, c.train.sinkhorn.reg_fraction);
   WritePod(out, static_cast<int32_t>(c.train.sinkhorn.max_iterations));
   WritePod(out, c.train.sinkhorn.tolerance);
-  WritePod(out, static_cast<uint8_t>(c.train.sinkhorn.warm_start ? 1 : 0));
-  // Reserved: three retired fields keep their slots, written as their old
-  // defaults so the layout does not change — sinkhorn.parallel (u8 1),
-  // sinkhorn.min_parallel_elements (i64 4096) and, after verbose,
-  // async_validation (u8 0). ReadConfig reads and ignores them.
+  // Reserved: four retired fields keep their slots, written as their old
+  // defaults so the layout does not change — sinkhorn.warm_start (u8 1),
+  // sinkhorn.parallel (u8 1), sinkhorn.min_parallel_elements (i64 4096)
+  // and, after verbose, async_validation (u8 0). ReadConfig reads and
+  // ignores them.
+  WritePod(out, uint8_t{1});
   WritePod(out, uint8_t{1});
   WritePod(out, int64_t{4096});
   WritePod(out, static_cast<uint64_t>(c.train.seed));
@@ -280,9 +281,8 @@ Status ReadConfig(BoundedReader* r, core::CerlConfig* c) {
   CERL_RETURN_IF_ERROR(r->ReadPod(&i32, "max_iterations"));
   c->train.sinkhorn.max_iterations = i32;
   CERL_RETURN_IF_ERROR(r->ReadPod(&c->train.sinkhorn.tolerance, "tolerance"));
-  CERL_RETURN_IF_ERROR(
-      ReadBool(r, &c->train.sinkhorn.warm_start, "warm_start"));
   int64_t reserved_i64 = 0;
+  CERL_RETURN_IF_ERROR(r->ReadPod(&u8, "reserved warm-start flag"));
   CERL_RETURN_IF_ERROR(r->ReadPod(&u8, "reserved sinkhorn flag"));
   CERL_RETURN_IF_ERROR(r->ReadPod(&reserved_i64, "reserved sinkhorn size"));
   uint64_t seed = 0;

@@ -333,9 +333,10 @@ TEST(BuildFactualLossTest, SingleGroupBatchIsHandled) {
   net.x_scaler().Fit(d.x);
   net.y_scaler().Fit(d.y);
   autodiff::Tape tape;
+  FactualScratch scratch;
   autodiff::Var x = tape.Constant(net.x_scaler().Apply(d.x));
-  FactualForward fwd = BuildFactualLoss(&net, &tape, x, all_treated,
-                                        net.y_scaler().Transform(d.y));
+  FactualForward fwd = BuildFactualLoss(
+      &net, &tape, x, all_treated, net.y_scaler().Transform(d.y), &scratch);
   EXPECT_EQ(fwd.n_treated, 12);
   EXPECT_EQ(fwd.n_control, 0);
   EXPECT_EQ(fwd.rep_control.rows(), 0);
@@ -343,9 +344,10 @@ TEST(BuildFactualLossTest, SingleGroupBatchIsHandled) {
   tape.Backward(fwd.loss);  // Must not crash with an empty group.
 }
 
-// The scratch overload (tape-aliased targets, reused split buffers) must
-// produce the same loss and gradients as the per-call-local path, and must
-// keep the tape arena allocation-free across steady-state re-recordings.
+// Re-recording with a reused scratch (tape-aliased targets, reused split
+// buffers) must produce the same loss as a first recording on a fresh tape
+// and scratch, and must keep the tape arena allocation-free across
+// steady-state re-recordings.
 TEST(BuildFactualLossTest, ScratchPathMatchesLocalAndIsZeroChurn) {
   Rng rng(11);
   RepOutcomeNet net(&rng, SmallNet(), 6);
@@ -358,8 +360,9 @@ TEST(BuildFactualLossTest, ScratchPathMatchesLocalAndIsZeroChurn) {
   double local_loss = 0.0;
   {
     autodiff::Tape tape;
+    FactualScratch fresh;
     FactualForward fwd = BuildFactualLoss(
-        &net, &tape, tape.Constant(x_scaled), d.t, y_scaled);
+        &net, &tape, tape.Constant(x_scaled), d.t, y_scaled, &fresh);
     local_loss = fwd.loss.scalar();
   }
 

@@ -133,6 +133,18 @@ std::string Refinalized(std::string payload_without_checksum) {
   return payload_without_checksum;
 }
 
+// CERLCKP2 scaler offsets for kInputDim features: the 16-byte header and 41
+// bytes of RNG state, then the x-scaler mean and std vectors (u32 length +
+// doubles each), then the y-scaler mean and std.
+constexpr size_t kXStdLenAt = 57 + 4 + kInputDim * 8;
+constexpr size_t kXStdAt = kXStdLenAt + 4;
+constexpr size_t kYStdAt = kXStdAt + kInputDim * 8 + 8;
+
+std::string WithDouble(std::string bytes, size_t at, double value) {
+  std::memcpy(bytes.data() + at, &value, sizeof(value));
+  return bytes;
+}
+
 TEST(CheckpointCorruptionTest, TrainerTruncationAtEveryOffset) {
   const std::string& valid = ValidTrainerPayload();
   // Every prefix must be rejected; stride keeps the suite fast on large
@@ -192,6 +204,23 @@ TEST(CheckpointCorruptionTest, TrainerStructuralCorruptionsBehindChecksum) {
   }
   // Trailing garbage with a valid checksum.
   ExpectTrainerRejects(Refinalized(payload + std::string(13, '\x5a')));
+  // Scaler stds that no Fit writes (it floors each at 1e-8): the scalers
+  // divide by them and OutcomeScaler::Restore CHECK-aborts on a
+  // non-positive one, so decode must reject them first.
+  {
+    uint32_t x_std_len = 0;
+    double y_std = 0.0;
+    std::memcpy(&x_std_len, payload.data() + kXStdLenAt, 4);
+    std::memcpy(&y_std, payload.data() + kYStdAt, 8);
+    ASSERT_EQ(x_std_len, static_cast<uint32_t>(kInputDim));
+    ASSERT_GT(y_std, 0.0);
+  }
+  for (double bad : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    ExpectTrainerRejects(Refinalized(WithDouble(payload, kYStdAt, bad)));
+    ExpectTrainerRejects(
+        Refinalized(WithDouble(payload, kXStdAt + 8 * 3, bad)));
+  }
   // Sanity: the untouched payload still loads (offsets above are live).
   {
     CerlTrainer trainer(TinyConfig(), kInputDim);
@@ -315,6 +344,21 @@ TEST(CheckpointCorruptionTest, EngineStructuralCorruptionsBehindChecksum) {
   // Trailing garbage.
   ExpectEngineValidatorRejects(&engine,
                                Refinalized(payload + std::string(5, '\x11')));
+  // A zero y-scaler std inside the first embedded trainer blob, behind the
+  // blob's own recomputed checksum (the container hash skips blob spans).
+  {
+    const size_t blob_at = valid.find("CERLCKP2");
+    ASSERT_NE(blob_at, std::string::npos);
+    uint64_t blob_len = 0;
+    std::memcpy(&blob_len, valid.data() + blob_at - 8, 8);
+    ASSERT_GT(blob_len, kYStdAt + 8);
+    const std::string blob = valid.substr(blob_at, blob_len);
+    const std::string bad_blob = Refinalized(
+        WithDouble(blob.substr(0, blob.size() - 8), kYStdAt, 0.0));
+    std::string bytes = valid;
+    bytes.replace(blob_at, blob_len, bad_blob);
+    ExpectEngineValidatorRejects(&engine, bytes);
+  }
   // Sanity: the untouched container still loads.
   {
     const std::string path = ::testing::TempDir() + "/corrupt_sane.snap";

@@ -296,9 +296,8 @@ TEST(CerlTrainerTest, AblationConfigurationsRun) {
 // and the early-stopping snapshot all reuse their buffers. The stage is
 // trained twice from the same state, for 2 and for 12 epochs: the first 2
 // epochs are identical, so the difference is epochs 3..12 alone. What is
-// left is the per-epoch shuffle permutation and Sinkhorn workspaces
-// growing for splits not seen before: 0.59 per step when the bound was
-// set.
+// left is mostly the per-epoch shuffle permutation: 12 allocations over
+// 100 steps (0.12 per step) when the bound was set.
 TEST(CerlTrainerTest, ContinualStepsBarelyAllocate) {
   auto stream = MakeShiftedStream(14, 1.5);
   CerlConfig config = FastCerlConfig();
@@ -328,7 +327,7 @@ TEST(CerlTrainerTest, ContinualStepsBarelyAllocate) {
   const double per_step =
       static_cast<double>(long_allocations - short_allocations) /
       static_cast<double>(long_steps - short_steps);
-  EXPECT_LT(per_step, 1.0);
+  EXPECT_LT(per_step, 0.2);
 }
 
 TEST(CerlTrainerTest, RetainsPreviousDomainBetterThanFineTuning) {

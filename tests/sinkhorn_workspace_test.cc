@@ -1,16 +1,16 @@
 // Tests for the SinkhornWorkspace hot path: agreement with the reference
-// solver, warm-start equivalence and iteration savings, zero-allocation
+// solver, independence from the workspace's earlier solves, zero-allocation
 // steady state, the log-domain fallback, and the workspace-threaded
 // Wasserstein penalty.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "autodiff/ops.h"
 #include "linalg/ops.h"
 #include "ot/ipm.h"
 #include "ot/sinkhorn.h"
-#include "ot/workspace_pool.h"
 #include "util/rng.h"
 
 namespace cerl::ot {
@@ -52,77 +52,10 @@ TEST(SinkhornWorkspaceTest, ColdSolveMatchesReferenceSolver) {
   SinkhornWorkspace ws;
   auto info = SolveSinkhorn(cost, config, &ws);
   ASSERT_TRUE(info.ok());
-  EXPECT_FALSE(info.value().warm_started);
   EXPECT_FALSE(info.value().used_log_domain);
   EXPECT_NEAR(info.value().cost, reference.value().cost,
               1e-6 * (1.0 + std::fabs(reference.value().cost)));
   EXPECT_LT(Matrix::MaxAbsDiff(ws.plan(), reference.value().plan), 1e-6);
-}
-
-TEST(SinkhornWorkspaceTest, WarmStartMatchesColdWithinTolerance) {
-  Rng rng(2);
-  Matrix a = RandomMatrix(&rng, 16, 8);
-  Matrix b = RandomMatrix(&rng, 16, 8, 0.5);
-  SinkhornConfig config;
-
-  SinkhornWorkspace warm_ws;
-  ASSERT_TRUE(SolveSinkhorn(CostOf(a, b), config, &warm_ws).ok());
-
-  Drift(&rng, &a, 1e-3);
-  Matrix drifted_cost = CostOf(a, b);
-  auto warm = SolveSinkhorn(drifted_cost, config, &warm_ws);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_TRUE(warm.value().warm_started);
-
-  SinkhornWorkspace cold_ws;
-  auto cold = SolveSinkhorn(drifted_cost, config, &cold_ws);
-  ASSERT_TRUE(cold.ok());
-  EXPECT_FALSE(cold.value().warm_started);
-
-  // Both are fixed points of the same problem within the solver tolerance.
-  EXPECT_NEAR(warm.value().cost, cold.value().cost,
-              1e-4 * (1.0 + std::fabs(cold.value().cost)));
-  EXPECT_LT(Matrix::MaxAbsDiff(warm_ws.plan(), cold_ws.plan()), 1e-4);
-  // And the plan still has the uniform marginals — both sides: a
-  // zero-iteration warm accept must not trade exact columns (the cold
-  // solver's invariant) for stale duals.
-  const Matrix& plan = warm_ws.plan();
-  for (int i = 0; i < plan.rows(); ++i) {
-    double row = 0.0;
-    for (int j = 0; j < plan.cols(); ++j) row += plan(i, j);
-    EXPECT_NEAR(row, 1.0 / plan.rows(), 1e-4);
-  }
-  for (int j = 0; j < plan.cols(); ++j) {
-    double col = 0.0;
-    for (int i = 0; i < plan.rows(); ++i) col += plan(i, j);
-    EXPECT_NEAR(col, 1.0 / plan.cols(), 1e-4);
-  }
-}
-
-TEST(SinkhornWorkspaceTest, WarmStartCutsIterations) {
-  Rng rng(3);
-  Matrix a = RandomMatrix(&rng, 24, 8);
-  Matrix b = RandomMatrix(&rng, 24, 8, 1.0);
-  SinkhornConfig config;
-
-  SinkhornWorkspace ws;
-  auto first = SolveSinkhorn(CostOf(a, b), config, &ws);
-  ASSERT_TRUE(first.ok());
-  const int cold_iterations = first.value().iterations;
-  EXPECT_GT(cold_iterations, 1);
-
-  int total_warm = 0;
-  for (int step = 0; step < 5; ++step) {
-    Drift(&rng, &a, 1e-4);
-    auto warm = SolveSinkhorn(CostOf(a, b), config, &ws);
-    ASSERT_TRUE(warm.ok());
-    EXPECT_TRUE(warm.value().warm_started);
-    EXPECT_LT(warm.value().iterations, cold_iterations);
-    total_warm += warm.value().iterations;
-  }
-  // Representations drift slowly between steps => several-fold fewer
-  // iterations on average (usually zero or one per warm solve).
-  EXPECT_LT(total_warm, 5 * cold_iterations / 2);
 }
 
 TEST(SinkhornWorkspaceTest, SteadyStateAllocatesNothing) {
@@ -159,53 +92,7 @@ TEST(SinkhornWorkspaceTest, ShapesBelowHighWaterReuseBuffers) {
     Matrix b = RandomMatrix(&rng, n2, 6, 0.3);
     auto info = SolveSinkhorn(CostOf(a, b), config, &ws);
     ASSERT_TRUE(info.ok());
-    // Shape changed => duals are adapted (truncate / pad-with-1.0), so the
-    // solve still counts as warm-started, and no new buffers appear.
-    EXPECT_TRUE(info.value().warm_started);
     EXPECT_EQ(ws.allocations(), high_water);
-  }
-}
-
-TEST(SinkhornWorkspaceTest, AdaptiveWarmStartOffGoesColdOnShapeChange) {
-  Rng rng(5);
-  SinkhornConfig config;
-  config.adaptive_warm_start = false;
-  SinkhornWorkspace ws;
-  Matrix big_a = RandomMatrix(&rng, 24, 6);
-  Matrix big_b = RandomMatrix(&rng, 20, 6, 0.3);
-  ASSERT_TRUE(SolveSinkhorn(CostOf(big_a, big_b), config, &ws).ok());
-  // With adaptation disabled, a shape change must fall back to a cold
-  // start (the pre-adaptive contract).
-  Matrix a = RandomMatrix(&rng, 12, 6);
-  Matrix b = RandomMatrix(&rng, 16, 6, 0.3);
-  auto info = SolveSinkhorn(CostOf(a, b), config, &ws);
-  ASSERT_TRUE(info.ok());
-  EXPECT_FALSE(info.value().warm_started);
-}
-
-TEST(SinkhornWorkspaceTest, AdaptedWarmStartMatchesReferenceSolution) {
-  Rng rng(13);
-  SinkhornConfig config;
-  Matrix big_a = RandomMatrix(&rng, 26, 5);
-  Matrix big_b = RandomMatrix(&rng, 22, 5, 0.4);
-  SinkhornWorkspace ws;
-  ASSERT_TRUE(SolveSinkhorn(CostOf(big_a, big_b), config, &ws).ok());
-  // Shrinking and growing both dimensions across solves: every adapted
-  // solve must land on the same plan as a cold-started workspace within
-  // the solver tolerance (adaptation may only change the starting point).
-  const int shapes[][2] = {{12, 30}, {30, 12}, {26, 22}};
-  for (const auto& s : shapes) {
-    Matrix a = RandomMatrix(&rng, s[0], 5);
-    Matrix b = RandomMatrix(&rng, s[1], 5, 0.4);
-    Matrix cost = CostOf(a, b);
-    auto adapted = SolveSinkhorn(cost, config, &ws);
-    SinkhornWorkspace cold_ws;
-    auto cold = SolveSinkhorn(cost, config, &cold_ws);
-    ASSERT_TRUE(adapted.ok());
-    ASSERT_TRUE(cold.ok());
-    EXPECT_TRUE(adapted.value().warm_started);
-    EXPECT_NEAR(adapted.value().cost, cold.value().cost,
-                1e-4 * std::max(1.0, std::fabs(cold.value().cost)));
   }
 }
 
@@ -224,77 +111,39 @@ TEST(SinkhornWorkspaceTest, LogDomainFallbackAndWarmStartDrop) {
   EXPECT_TRUE(info.value().used_log_domain);
   EXPECT_TRUE(std::isfinite(info.value().cost));
   EXPECT_GT(info.value().cost, 0.0);
-  // The scaling duals are invalid after a log-domain solve; the next solve
-  // must not claim a warm start.
+  // The workspace stays usable after a log-domain solve.
   auto next = SolveSinkhorn(CostOf(a, b), config, &ws);
   ASSERT_TRUE(next.ok());
-  EXPECT_FALSE(next.value().warm_started);
 }
 
-// The pool's reason to exist: on a stream of heterogeneous treated/control
-// splits, one workspace never warm-starts (the shape changes every solve),
-// while the shape-keyed pool warm-starts every revisit of a shape.
-TEST(SinkhornWorkspacePoolTest, WarmStartsFireAcrossHeterogeneousShapes) {
-  Rng rng(12);
+// A solve's result depends only on its cost matrix: one workspace that has
+// already solved problems of other (larger, smaller and equal) shapes must
+// return the same bits as a fresh workspace.
+TEST(SinkhornWorkspaceTest, SolveIsIndependentOfWorkspaceHistory) {
+  Rng rng(14);
   SinkhornConfig config;
-  // Two alternating split shapes, as adjacent minibatches produce.
-  Matrix a_small = RandomMatrix(&rng, 12, 6);
-  Matrix b_small = RandomMatrix(&rng, 20, 6, 0.4);
-  Matrix a_big = RandomMatrix(&rng, 16, 6);
-  Matrix b_big = RandomMatrix(&rng, 16, 6, 0.4);
-
-  SinkhornWorkspace single;
-  SinkhornWorkspacePool pool;
-  int single_warm = 0, pool_warm = 0;
-  const int kSteps = 10;
-  for (int step = 0; step < kSteps; ++step) {
-    Matrix& a = step % 2 == 0 ? a_small : a_big;
-    Matrix& b = step % 2 == 0 ? b_small : b_big;
-    Drift(&rng, &a, 1e-3);
+  SinkhornWorkspace ws;
+  const int shapes[][2] = {{20, 12}, {32, 24}, {8, 30}, {20, 12},
+                           {20, 12}, {5, 5},   {32, 24}};
+  for (const auto& s : shapes) {
+    Matrix a = RandomMatrix(&rng, s[0], 6);
+    Matrix b = RandomMatrix(&rng, s[1], 6, 0.5);
     const Matrix cost = CostOf(a, b);
-
-    auto single_info = SolveSinkhorn(cost, config, &single);
-    ASSERT_TRUE(single_info.ok());
-    single_warm += single_info.value().warm_started ? 1 : 0;
-
-    auto pooled_info =
-        SolveSinkhorn(cost, config, pool.Acquire(a.rows(), b.rows()));
-    ASSERT_TRUE(pooled_info.ok());
-    pool_warm += pooled_info.value().warm_started ? 1 : 0;
+    auto seasoned = SolveSinkhorn(cost, config, &ws);
+    SinkhornWorkspace fresh_ws;
+    auto fresh = SolveSinkhorn(cost, config, &fresh_ws);
+    ASSERT_TRUE(seasoned.ok());
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_EQ(seasoned.value().cost, fresh.value().cost)
+        << s[0] << "x" << s[1];
+    EXPECT_EQ(seasoned.value().iterations, fresh.value().iterations);
+    ASSERT_EQ(ws.plan().rows(), fresh_ws.plan().rows());
+    ASSERT_EQ(ws.plan().cols(), fresh_ws.plan().cols());
+    EXPECT_EQ(std::memcmp(ws.plan().data(), fresh_ws.plan().data(),
+                          ws.plan().size() * sizeof(double)),
+              0)
+        << s[0] << "x" << s[1];
   }
-  // The single workspace alternates shapes: every solve after the first is
-  // shape-adapted rather than cold (exact-shape warm starts never fire).
-  EXPECT_EQ(single_warm, kSteps - 1);
-  // The pool warm-starts every solve after each shape's first visit, with
-  // exact-shape duals (no adaptation needed).
-  EXPECT_EQ(pool_warm, kSteps - 2);
-  EXPECT_GT(pool.warm_acquires(), 0);
-  EXPECT_GT(pool.warm_hit_rate(), 0.0);
-  EXPECT_EQ(pool.size(), 2);
-  EXPECT_EQ(pool.evictions(), 0);
-}
-
-TEST(SinkhornWorkspacePoolTest, BoundedLruEvictsAndStaysCorrect) {
-  Rng rng(13);
-  SinkhornConfig config;
-  SinkhornWorkspacePool pool(/*capacity=*/2);
-  // Three shapes cycling through a capacity-2 pool: each acquire misses
-  // (its shape was evicted a step ago) but solves stay correct.
-  for (int step = 0; step < 9; ++step) {
-    const int n1 = 8 + 4 * (step % 3);
-    Matrix a = RandomMatrix(&rng, n1, 5);
-    Matrix b = RandomMatrix(&rng, 10, 5, 0.3);
-    SinkhornWorkspace* ws = pool.Acquire(n1, 10);
-    auto info = SolveSinkhorn(CostOf(a, b), config, ws);
-    ASSERT_TRUE(info.ok());
-    auto reference = SolveSinkhorn(CostOf(a, b), config);
-    ASSERT_TRUE(reference.ok());
-    EXPECT_NEAR(info.value().cost, reference.value().cost,
-                1e-6 * (1.0 + std::fabs(reference.value().cost)));
-  }
-  EXPECT_EQ(pool.size(), 2);
-  EXPECT_GT(pool.evictions(), 0);
-  EXPECT_EQ(pool.warm_acquires(), 0);  // every revisit was evicted already
 }
 
 TEST(SinkhornWorkspaceTest, EmptyCostRejected) {
@@ -375,10 +224,12 @@ TEST(WassersteinPenaltyWorkspaceTest, IpmPenaltyDispatchThreadsWorkspace) {
   Var b = tape.Constant(RandomMatrix(&rng, 8, 3, 1.0));
   EXPECT_GT(
       IpmPenalty(IpmKind::kWasserstein, a, b, config, &ws).scalar(), 0.0);
-  EXPECT_TRUE(ws.has_warm_start(6, 8));
+  EXPECT_EQ(ws.plan().rows(), 6);
+  EXPECT_EQ(ws.plan().cols(), 8);
   // The MMD branch must ignore (and not disturb) the workspace.
   EXPECT_GT(IpmPenalty(IpmKind::kLinearMmd, a, b, config, &ws).scalar(), 0.0);
-  EXPECT_TRUE(ws.has_warm_start(6, 8));
+  EXPECT_EQ(ws.plan().rows(), 6);
+  EXPECT_EQ(ws.plan().cols(), 8);
 }
 
 }  // namespace

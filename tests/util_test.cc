@@ -20,7 +20,6 @@
 #include "util/distributions.h"
 #include "util/flags.h"
 #include "util/histogram.h"
-#include "util/keyed_pool.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -501,56 +500,6 @@ TEST(DistributionsTest, SampleWithoutReplacementDistinct) {
   std::sort(idx.begin(), idx.end());
   EXPECT_EQ(std::unique(idx.begin(), idx.end()), idx.end());
   for (int i : idx) EXPECT_TRUE(i >= 0 && i < 50);
-}
-
-TEST(KeyedLruPoolTest, ReturnsSameInstancePerKey) {
-  KeyedLruPool<int> pool(4);
-  int* a = pool.Acquire(7, [] { return std::make_unique<int>(70); });
-  int* b = pool.Acquire(9, [] { return std::make_unique<int>(90); });
-  EXPECT_NE(a, b);
-  EXPECT_EQ(*a, 70);
-  // A hit returns the identical object without invoking the factory.
-  int* a_again = pool.Acquire(7, []() -> std::unique_ptr<int> {
-    ADD_FAILURE() << "factory must not run on a hit";
-    return nullptr;
-  });
-  EXPECT_EQ(a_again, a);
-  EXPECT_EQ(pool.hits(), 1);
-  EXPECT_EQ(pool.misses(), 2);
-}
-
-TEST(KeyedLruPoolTest, EvictsLeastRecentlyUsedByRecycling) {
-  KeyedLruPool<int> pool(2);
-  auto make = [](int v) {
-    return [v] { return std::make_unique<int>(v); };
-  };
-  pool.Acquire(1, make(1));
-  int* two = pool.Acquire(2, make(2));
-  pool.Acquire(1, make(1));           // touch 1 => 2 becomes LRU
-  int* three = pool.Acquire(3, []() -> std::unique_ptr<int> {
-    ADD_FAILURE() << "eviction must recycle, not rebuild";
-    return nullptr;
-  });
-  EXPECT_TRUE(pool.contains(1));
-  EXPECT_FALSE(pool.contains(2));
-  EXPECT_TRUE(pool.contains(3));
-  EXPECT_EQ(pool.evictions(), 1);
-  EXPECT_EQ(pool.size(), 2);
-  // Key 3 took over key 2's instance (arena reuse): same object, stale
-  // state — callers reset/validate acquired objects themselves.
-  EXPECT_EQ(three, two);
-  EXPECT_EQ(*three, 2);
-}
-
-TEST(KeyedLruPoolTest, PointerStableAcrossOtherAcquires) {
-  KeyedLruPool<int> pool(3);
-  int* a = pool.Acquire(1, [] { return std::make_unique<int>(1); });
-  pool.Acquire(2, [] { return std::make_unique<int>(2); });
-  pool.Acquire(3, [] { return std::make_unique<int>(3); });
-  // 1 is the LRU but not yet evicted; its pointer must still be valid.
-  int* a_again = pool.Acquire(1, [] { return std::make_unique<int>(-1); });
-  EXPECT_EQ(a_again, a);
-  EXPECT_EQ(*a, 1);
 }
 
 TEST(CsvTest, WritesHeaderAndRowsWithEscaping) {
