@@ -91,11 +91,11 @@ train::LoopOptions MakeLoopOptions(const TrainConfig& config,
 }
 
 CfrModel::CfrModel(const NetConfig& net_config, const TrainConfig& train_config,
-                   int input_dim)
+                   int input_dim, bool draw_initial_weights)
     : net_config_(net_config),
       train_config_(train_config),
       rng_(train_config.seed),
-      net_(&rng_, net_config, input_dim) {}
+      net_(draw_initial_weights ? &rng_ : nullptr, net_config, input_dim) {}
 
 TrainStats CfrModel::Train(const data::CausalDataset& train,
                            const data::CausalDataset& valid) {

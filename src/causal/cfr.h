@@ -83,8 +83,11 @@ void GatherTreatOutcome(const std::vector<int>& t, const linalg::Vector& y,
 /// CFR model: RepOutcomeNet + Eq. 5 training.
 class CfrModel {
  public:
+  /// `draw_initial_weights` = false skips the initial-weight draws and
+  /// leaves every parameter zero, for a caller that overwrites them all (a
+  /// checkpoint restore).
   CfrModel(const NetConfig& net_config, const TrainConfig& train_config,
-           int input_dim);
+           int input_dim, bool draw_initial_weights = true);
 
   /// Fits scalers on `train` and optimizes Eq. 5 with early stopping on the
   /// validation factual loss.

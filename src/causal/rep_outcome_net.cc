@@ -27,13 +27,35 @@ nn::MlpConfig HeadMlpConfig(const NetConfig& config) {
   return m;
 }
 
+namespace {
+
+// The Mlp names of g_w, h_0 and h_1: every parameter name starts with one.
+constexpr const char* kRepName = "rep";
+constexpr const char* kHeadNames[2] = {"head0", "head1"};
+
+}  // namespace
+
+std::vector<nn::ParamSpec> NetParameterSpecs(const NetConfig& config,
+                                             int input_dim) {
+  std::vector<nn::ParamSpec> specs =
+      nn::MlpParameterSpecs(RepMlpConfig(config, input_dim), kRepName);
+  for (const char* head : kHeadNames) {
+    const std::vector<nn::ParamSpec> h =
+        nn::MlpParameterSpecs(HeadMlpConfig(config), head);
+    specs.insert(specs.end(), h.begin(), h.end());
+  }
+  return specs;
+}
+
 RepOutcomeNet::RepOutcomeNet(Rng* rng, const NetConfig& config, int input_dim)
     : config_(config), input_dim_(input_dim) {
   CERL_CHECK_GT(input_dim, 0);
   rep_ = std::make_unique<nn::Mlp>(rng, RepMlpConfig(config, input_dim),
-                                   "rep");
-  head0_ = std::make_unique<nn::Mlp>(rng, HeadMlpConfig(config), "head0");
-  head1_ = std::make_unique<nn::Mlp>(rng, HeadMlpConfig(config), "head1");
+                                   kRepName);
+  head0_ =
+      std::make_unique<nn::Mlp>(rng, HeadMlpConfig(config), kHeadNames[0]);
+  head1_ =
+      std::make_unique<nn::Mlp>(rng, HeadMlpConfig(config), kHeadNames[1]);
 }
 
 Var RepOutcomeNet::Rep(Tape* tape, Var x_scaled) {

@@ -43,9 +43,17 @@ nn::MlpConfig RepMlpConfig(const NetConfig& config, int input_dim);
 /// output).
 nn::MlpConfig HeadMlpConfig(const NetConfig& config);
 
+/// Names and shapes of RepOutcomeNet(rng, config, input_dim)::Parameters(),
+/// in that order, without building the net: what a checkpoint's parameter
+/// block must match (core/checkpoint.h).
+std::vector<nn::ParamSpec> NetParameterSpecs(const NetConfig& config,
+                                             int input_dim);
+
 /// g_w plus h_theta = {h_0, h_1}, with scalers.
 class RepOutcomeNet {
  public:
+  /// A null `rng` leaves every weight zero for the caller to fill (a
+  /// checkpoint restore) instead of drawing initial weights.
   RepOutcomeNet(Rng* rng, const NetConfig& config, int input_dim);
 
   /// Representation forward pass on already-scaled inputs.

@@ -17,16 +17,20 @@
 //   u64 Checksum64 (util/binary_io) of all preceding bytes.
 //
 // Reads are bounds-checked (every length field is validated against the
-// bytes actually present before any allocation) and staged: the trainer is
-// mutated only after the whole payload parsed and validated, so corrupt or
-// mismatched checkpoints return a typed Status and leave the trainer
-// untouched.
+// bytes actually present before any allocation) and staged: ParseCheckpoint
+// (core/checkpoint.h) validates the whole payload, and only then does
+// DeserializeCheckpoint mutate the trainer, so corrupt or mismatched
+// checkpoints return a typed Status and leave the trainer untouched. The
+// serving plane's DecodeEffectSnapshot runs the same parser.
 //
 // The magic is checked before the checksum, so a blob of another version
 // (CERLCKP1 differs only in its FNV-1a checksum) fails with an error that
 // names its magic instead of reading as corruption.
+#include "core/checkpoint.h"
+
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -96,41 +100,37 @@ Status CerlTrainer::SerializeCheckpoint(std::string* out) {
   return Status::Ok();
 }
 
-Status CerlTrainer::DeserializeCheckpoint(std::string_view bytes) {
-  if (stages_seen_ != 0) {
-    return Status::FailedPrecondition(
-        "checkpoint restore requires a fresh trainer");
-  }
+Status ParseCheckpoint(std::string_view bytes, const causal::NetConfig& net,
+                       int input_dim, bool keep_memory_reps,
+                       ParsedCheckpoint* out) {
   CERL_RETURN_IF_ERROR(CheckMagic(bytes, kMagic, "checkpoint"));
   Result<std::string_view> verified = VerifyChecksum(bytes, "checkpoint");
   if (!verified.ok()) return verified.status();
   const std::string_view payload = verified.value();
 
-  // Everything below parses into locals; the trainer is mutated only in the
-  // commit block at the end (all-or-nothing restore).
   ViewStreambuf buf(payload);
   std::istream in(&buf);
   BoundedReader r(&in, payload.size());
 
   char magic[kMagic.size()];  // matched above; the read bounds-checks it
   CERL_RETURN_IF_ERROR(r.ReadRaw(magic, sizeof(magic), "magic"));
-  uint32_t stages = 0, input_dim = 0;
+  uint32_t stages = 0, blob_input_dim = 0;
   CERL_RETURN_IF_ERROR(r.ReadPod(&stages, "stage count"));
-  CERL_RETURN_IF_ERROR(r.ReadPod(&input_dim, "input dim"));
+  CERL_RETURN_IF_ERROR(r.ReadPod(&blob_input_dim, "input dim"));
   // Counters land in ints; cap them so a corrupt value cannot go negative
   // through the cast (the checksum is integrity-only, not a trust boundary).
   if (stages == 0 || stages > (1u << 30)) {
     return Status::IoError("implausible checkpoint stage count " +
                            std::to_string(stages));
   }
-  if (static_cast<int>(input_dim) != input_dim_) {
+  if (static_cast<int>(blob_input_dim) != input_dim) {
     return Status::InvalidArgument(
-        "checkpoint input dim " + std::to_string(input_dim) +
-        " does not match trainer input dim " + std::to_string(input_dim_));
+        "checkpoint input dim " + std::to_string(blob_input_dim) +
+        " does not match trainer input dim " + std::to_string(input_dim));
   }
+  out->stages = static_cast<int>(stages);
 
-  Rng::State rng_state;
-  for (uint64_t& word : rng_state.words) {
+  for (uint64_t& word : out->rng.words) {
     CERL_RETURN_IF_ERROR(r.ReadPod(&word, "rng state"));
   }
   uint8_t rng_cached = 0;
@@ -138,104 +138,131 @@ Status CerlTrainer::DeserializeCheckpoint(std::string_view bytes) {
   if (rng_cached > 1) {
     return Status::IoError("checkpoint rng cached flag is not 0/1");
   }
-  rng_state.has_cached_normal = rng_cached != 0;
-  CERL_RETURN_IF_ERROR(r.ReadPod(&rng_state.cached_normal, "rng cached"));
+  out->rng.has_cached_normal = rng_cached != 0;
+  CERL_RETURN_IF_ERROR(r.ReadPod(&out->rng.cached_normal, "rng cached"));
 
   // Scaler dimensions must match the trainer's input dimension — a mismatch
   // means the file belongs to a different feature space and reading on would
   // standardize garbage.
-  linalg::Vector x_mean, x_std;
   CERL_RETURN_IF_ERROR(
-      ReadF64VectorExpected(&r, input_dim, &x_mean, "x-scaler mean"));
+      ReadF64VectorExpected(&r, blob_input_dim, &out->x_mean,
+                            "x-scaler mean"));
   CERL_RETURN_IF_ERROR(
-      ReadF64VectorExpected(&r, input_dim, &x_std, "x-scaler std"));
-  double y_mean = 0.0, y_std = 1.0;
+      ReadF64VectorExpected(&r, blob_input_dim, &out->x_std,
+                            "x-scaler std"));
   uint8_t y_fitted = 0;
-  CERL_RETURN_IF_ERROR(r.ReadPod(&y_mean, "y-scaler mean"));
-  CERL_RETURN_IF_ERROR(r.ReadPod(&y_std, "y-scaler std"));
+  CERL_RETURN_IF_ERROR(r.ReadPod(&out->y_mean, "y-scaler mean"));
+  CERL_RETURN_IF_ERROR(r.ReadPod(&out->y_std, "y-scaler std"));
   CERL_RETURN_IF_ERROR(r.ReadPod(&y_fitted, "y-scaler fitted flag"));
   if (y_fitted > 1) {
     return Status::IoError("checkpoint y-scaler flag is not 0/1");
   }
+  out->y_fitted = y_fitted != 0;
   // The scalers divide by these stds and OutcomeScaler::Restore CHECK-aborts
   // on a non-positive one. Fit floors every std at 1e-8, so no blob it
-  // wrote is rejected here.
-  if (!PositiveFinite(y_std)) {
+  // wrote is rejected here. A non-finite mean would serve non-finite
+  // effects, and no Fit writes one either.
+  if (!PositiveFinite(out->y_std)) {
     return Status::IoError("checkpoint y-scaler std is not positive finite");
   }
-  for (double s : x_std) {
+  if (!std::isfinite(out->y_mean)) {
+    return Status::IoError("checkpoint y-scaler mean is not finite");
+  }
+  for (double s : out->x_std) {
     if (!PositiveFinite(s)) {
       return Status::IoError("checkpoint x-scaler std is not positive finite");
     }
   }
-
-  // Fresh model with this trainer's architecture; the parameter block must
-  // match it name-for-name and shape-for-shape (that is the architecture
-  // compatibility check).
-  auto model = std::make_unique<causal::CfrModel>(config_.net, config_.train,
-                                                  input_dim_);
-  {
-    const auto before = in.tellg();
-    CERL_RETURN_IF_ERROR(
-        nn::LoadParametersFromStream(in, model->net().Parameters()));
-    const auto after = in.tellg();
-    if (before < 0 || after < before) {
-      return Status::IoError("parameter block position tracking failed");
+  for (double m : out->x_mean) {
+    if (!std::isfinite(m)) {
+      return Status::IoError("checkpoint x-scaler mean is not finite");
     }
-    CERL_RETURN_IF_ERROR(r.Consume(static_cast<uint64_t>(after - before),
-                                   "parameter block"));
   }
+
+  // The parameter block must match this architecture name-for-name and
+  // shape-for-shape (that is the architecture compatibility check).
+  Result<size_t> block = nn::ParseParameterBlock(
+      payload.substr(payload.size() - r.remaining()),
+      causal::NetParameterSpecs(net, input_dim), &out->params);
+  if (!block.ok()) return block.status();
+  CERL_RETURN_IF_ERROR(r.Skip(block.value(), "parameter block"));
 
   uint32_t mem_rows = 0, mem_cols = 0;
   CERL_RETURN_IF_ERROR(r.ReadPod(&mem_rows, "memory rows"));
   CERL_RETURN_IF_ERROR(r.ReadPod(&mem_cols, "memory cols"));
-  linalg::Matrix mem_reps;
-  linalg::Vector mem_y;
-  std::vector<int> mem_t;
   if (mem_rows > 0) {
     if (mem_rows > kMaxMemoryRows) {
       return Status::IoError("implausible memory row count " +
                              std::to_string(mem_rows));
     }
-    if (static_cast<int>(mem_cols) != model->net().rep_dim()) {
-      return Status::IoError(
-          "memory rep dim " + std::to_string(mem_cols) +
-          " does not match model rep dim " +
-          std::to_string(model->net().rep_dim()));
+    if (static_cast<int>(mem_cols) != net.rep_dim) {
+      return Status::IoError("memory rep dim " + std::to_string(mem_cols) +
+                             " does not match model rep dim " +
+                             std::to_string(net.rep_dim));
     }
     const uint64_t rep_bytes =
         static_cast<uint64_t>(mem_rows) * mem_cols * sizeof(double);
-    CERL_RETURN_IF_ERROR(r.Require(rep_bytes, "memory representations"));
-    mem_reps.Resize(static_cast<int>(mem_rows), static_cast<int>(mem_cols));
-    CERL_RETURN_IF_ERROR(
-        r.ReadRaw(mem_reps.data(), rep_bytes, "memory representations"));
-    CERL_RETURN_IF_ERROR(
-        ReadF64VectorExpected(&r, mem_rows, &mem_y, "memory outcomes"));
-    CERL_RETURN_IF_ERROR(r.Require(mem_rows, "memory treatments"));
-    mem_t.resize(mem_rows);
+    if (keep_memory_reps) {
+      CERL_RETURN_IF_ERROR(r.Require(rep_bytes, "memory representations"));
+      out->memory_reps.Resize(static_cast<int>(mem_rows),
+                              static_cast<int>(mem_cols));
+      CERL_RETURN_IF_ERROR(r.ReadRaw(out->memory_reps.data(), rep_bytes,
+                                     "memory representations"));
+    } else {
+      CERL_RETURN_IF_ERROR(r.Skip(rep_bytes, "memory representations"));
+    }
+    CERL_RETURN_IF_ERROR(ReadF64VectorExpected(&r, mem_rows, &out->memory_y,
+                                               "memory outcomes"));
+    // One byte per unit, validated in place rather than read one by one.
+    const std::string_view t_bytes =
+        payload.substr(payload.size() - r.remaining(), mem_rows);
+    CERL_RETURN_IF_ERROR(r.Skip(mem_rows, "memory treatments"));
+    out->memory_t.resize(mem_rows);
     for (uint32_t i = 0; i < mem_rows; ++i) {
-      uint8_t b = 0;
-      CERL_RETURN_IF_ERROR(r.ReadPod(&b, "memory treatments"));
+      const auto b = static_cast<uint8_t>(t_bytes[i]);
       if (b > 1) {
         return Status::IoError("memory treatment is not 0/1");
       }
-      mem_t[i] = b;
+      out->memory_t[i] = b;
     }
   }
   if (r.remaining() != 0) {
     return Status::IoError("checkpoint has " + std::to_string(r.remaining()) +
                            " trailing bytes");
   }
+  return Status::Ok();
+}
 
-  // Commit: every field parsed and validated.
-  model_ = std::move(model);
+Status CerlTrainer::DeserializeCheckpoint(std::string_view bytes) {
+  if (stages_seen_ != 0) {
+    return Status::FailedPrecondition(
+        "checkpoint restore requires a fresh trainer");
+  }
+  // Everything is parsed and validated before the trainer is touched
+  // (all-or-nothing restore).
+  ParsedCheckpoint parsed;
+  CERL_RETURN_IF_ERROR(ParseCheckpoint(bytes, config_.net, input_dim_,
+                                       /*keep_memory_reps=*/true, &parsed));
+
+  // Commit. The model is built from the parsed weights without drawing
+  // initial ones; its own RNG is never consumed, because a restored model
+  // is never trained (BeginStage builds each stage's model afresh).
+  model_ = std::make_unique<causal::CfrModel>(
+      config_.net, config_.train, input_dim_, /*draw_initial_weights=*/false);
   causal::RepOutcomeNet& net = model_->net();
-  net.x_scaler().Restore(std::move(x_mean), std::move(x_std));
-  if (y_fitted) net.y_scaler().Restore(y_mean, y_std);
+  const std::vector<autodiff::Parameter*> params = net.Parameters();
+  for (size_t i = 0; i < params.size(); ++i) {
+    std::memcpy(params[i]->value.data(), parsed.params[i].data(),
+                parsed.params[i].size());
+  }
+  net.x_scaler().Restore(std::move(parsed.x_mean), std::move(parsed.x_std));
+  if (parsed.y_fitted) net.y_scaler().Restore(parsed.y_mean, parsed.y_std);
   memory_.Clear();
-  if (mem_rows > 0) memory_.Append(mem_reps, mem_y, mem_t);
-  stages_seen_ = static_cast<int>(stages);
-  rng_.RestoreState(rng_state);
+  if (!parsed.memory_t.empty()) {
+    memory_.Append(parsed.memory_reps, parsed.memory_y, parsed.memory_t);
+  }
+  stages_seen_ = parsed.stages;
+  rng_.RestoreState(parsed.rng);
   return Status::Ok();
 }
 

@@ -8,7 +8,9 @@ namespace cerl::nn {
 
 CosineLinear::CosineLinear(Rng* rng, int in_dim, int out_dim,
                            Activation activation, std::string name)
-    : weight_(Parameter(XavierUniform(rng, in_dim, out_dim), name + ".weight")),
+    : weight_(Parameter(rng == nullptr ? Zeros(in_dim, out_dim)
+                                       : XavierUniform(rng, in_dim, out_dim),
+                        name + ".weight")),
       activation_(activation) {}
 
 void CosineLinear::CollectParameters(std::vector<Parameter*>* out) {

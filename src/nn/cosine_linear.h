@@ -17,6 +17,8 @@ namespace cerl::nn {
 /// Dense layer with cosine normalization instead of a raw dot product.
 class CosineLinear : public Module {
  public:
+  /// Xavier-initialized W; a null `rng` leaves W zero for the caller to
+  /// fill.
   CosineLinear(Rng* rng, int in_dim, int out_dim,
                Activation activation = Activation::kTanh,
                std::string name = "cosine_linear");

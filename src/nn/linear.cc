@@ -10,8 +10,9 @@ Linear::Linear(Rng* rng, int in_dim, int out_dim, Activation activation,
     : activation_(activation) {
   const bool relu_family =
       activation == Activation::kRelu || activation == Activation::kElu;
-  weight_ = Parameter(relu_family ? HeNormal(rng, in_dim, out_dim)
-                                  : XavierUniform(rng, in_dim, out_dim),
+  weight_ = Parameter(rng == nullptr ? Zeros(in_dim, out_dim)
+                      : relu_family  ? HeNormal(rng, in_dim, out_dim)
+                                     : XavierUniform(rng, in_dim, out_dim),
                       name + ".weight");
   bias_ = Parameter(Zeros(1, out_dim), name + ".bias");
 }

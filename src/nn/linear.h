@@ -12,6 +12,7 @@ namespace cerl::nn {
 class Linear : public Module {
  public:
   /// Initializes W via He-normal (relu/elu) or Xavier (otherwise), b = 0.
+  /// A null `rng` leaves W zero for the caller to fill.
   Linear(Rng* rng, int in_dim, int out_dim,
          Activation activation = Activation::kNone,
          std::string name = "linear");

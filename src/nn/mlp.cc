@@ -1,6 +1,13 @@
 #include "nn/mlp.h"
 
 namespace cerl::nn {
+namespace {
+
+std::string LayerName(const std::string& name, int i) {
+  return name + ".layer" + std::to_string(i);
+}
+
+}  // namespace
 
 Mlp::Mlp(Rng* rng, const MlpConfig& config, std::string name) {
   CERL_CHECK_GE(config.dims.size(), 2u);
@@ -9,7 +16,7 @@ Mlp::Mlp(Rng* rng, const MlpConfig& config, std::string name) {
   const int n_layers = static_cast<int>(config.dims.size()) - 1;
   for (int i = 0; i < n_layers; ++i) {
     const bool last = (i == n_layers - 1);
-    const std::string layer_name = name + ".layer" + std::to_string(i);
+    const std::string layer_name = LayerName(name, i);
     if (last && config.cosine_normalized_output) {
       layers_.push_back(std::make_unique<CosineLinear>(
           rng, config.dims[i], config.dims[i + 1], config.output_activation,
@@ -21,6 +28,22 @@ Mlp::Mlp(Rng* rng, const MlpConfig& config, std::string name) {
           layer_name));
     }
   }
+}
+
+std::vector<ParamSpec> MlpParameterSpecs(const MlpConfig& config,
+                                         const std::string& name) {
+  std::vector<ParamSpec> specs;
+  const int n_layers = static_cast<int>(config.dims.size()) - 1;
+  for (int i = 0; i < n_layers; ++i) {
+    const std::string layer_name = LayerName(name, i);
+    const int out = config.dims[i + 1];
+    specs.push_back({layer_name + ".weight", config.dims[i], out});
+    // Linear carries a bias; the cosine output layer has none.
+    if (i < n_layers - 1 || !config.cosine_normalized_output) {
+      specs.push_back({layer_name + ".bias", 1, out});
+    }
+  }
+  return specs;
 }
 
 void Mlp::CollectParameters(std::vector<Parameter*>* out) {

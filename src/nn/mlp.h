@@ -25,6 +25,8 @@ struct MlpConfig {
 /// Feed-forward network assembled from Linear / CosineLinear layers.
 class Mlp : public Module {
  public:
+  /// A null `rng` leaves every weight zero for the caller to fill (a
+  /// checkpoint restore) instead of drawing initial weights.
   Mlp(Rng* rng, const MlpConfig& config, std::string name = "mlp");
 
   void CollectParameters(std::vector<Parameter*>* out) override;
@@ -42,5 +44,10 @@ class Mlp : public Module {
   int in_dim_ = 0;
   int out_dim_ = 0;
 };
+
+/// Names and shapes of the parameters Mlp(rng, config, name) holds, in
+/// CollectParameters order, without building it.
+std::vector<ParamSpec> MlpParameterSpecs(const MlpConfig& config,
+                                         const std::string& name);
 
 }  // namespace cerl::nn

@@ -2,6 +2,7 @@
 // Var -> Var forward pass on a caller-supplied tape.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "autodiff/tape.h"
@@ -14,6 +15,14 @@ using autodiff::Var;
 
 /// Activation functions available to layers.
 enum class Activation { kNone, kRelu, kElu, kTanh, kSigmoid };
+
+/// Name and shape of one parameter: what a serialized parameter block must
+/// match, known from an architecture without building it.
+struct ParamSpec {
+  std::string name;
+  int rows = 0;
+  int cols = 0;
+};
 
 /// Applies the chosen activation as a tape op.
 Var ApplyActivation(Var x, Activation act);

@@ -3,6 +3,9 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <istream>
+
+#include "util/binary_io.h"
 
 namespace cerl::nn {
 namespace {
@@ -31,50 +34,60 @@ Status SaveParametersToStream(std::ostream& out,
   return Status::Ok();
 }
 
-Status LoadParametersFromStream(
-    std::istream& in, const std::vector<autodiff::Parameter*>& params) {
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+Result<size_t> ParseParameterBlock(std::string_view bytes,
+                                   const std::vector<ParamSpec>& expected,
+                                   std::vector<std::string_view>* values) {
+  ViewStreambuf buf(bytes);
+  std::istream in(&buf);
+  BoundedReader r(&in, bytes.size());
+  const auto pos = [&] { return bytes.size() - r.remaining(); };
+  char magic[sizeof(kMagic)];
+  if (!r.ReadRaw(magic, sizeof(magic), "parameter-block magic").ok() ||
+      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     return Status::IoError("bad parameter-block magic");
   }
   uint64_t count = 0;
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  if (!in || count != params.size()) {
+  CERL_RETURN_IF_ERROR(r.ReadPod(&count, "parameter count"));
+  if (count != expected.size()) {
     return Status::InvalidArgument(
         "parameter count mismatch: stream has " + std::to_string(count) +
-        ", model has " + std::to_string(params.size()));
+        ", model has " + std::to_string(expected.size()));
   }
-  for (auto* p : params) {
+  values->clear();
+  values->reserve(expected.size());
+  for (const ParamSpec& spec : expected) {
     uint32_t name_len = 0;
-    in.read(reinterpret_cast<char*>(&name_len), sizeof(name_len));
-    if (!in) return Status::IoError("truncated parameter block");
+    CERL_RETURN_IF_ERROR(r.ReadPod(&name_len, "parameter name length"));
     // The expected name is known, so a corrupted length field is rejected
-    // before it can drive a huge allocation.
-    if (name_len != p->name.size()) {
+    // before it can drive a read.
+    if (name_len != spec.name.size()) {
       return Status::InvalidArgument(
           "parameter name length mismatch: stream has " +
-          std::to_string(name_len) + ", model expects '" + p->name + "'");
+          std::to_string(name_len) + ", model expects '" + spec.name + "'");
     }
-    std::string name(name_len, '\0');
-    in.read(name.data(), name_len);
+    const size_t name_at = pos();
+    CERL_RETURN_IF_ERROR(r.Skip(name_len, "parameter name"));
+    const std::string_view name = bytes.substr(name_at, name_len);
     uint32_t rows = 0, cols = 0;
-    in.read(reinterpret_cast<char*>(&rows), sizeof(rows));
-    in.read(reinterpret_cast<char*>(&cols), sizeof(cols));
-    if (!in) return Status::IoError("truncated parameter block");
-    if (name != p->name) {
+    CERL_RETURN_IF_ERROR(r.ReadPod(&rows, "parameter rows"));
+    CERL_RETURN_IF_ERROR(r.ReadPod(&cols, "parameter cols"));
+    if (name != spec.name) {
       return Status::InvalidArgument("parameter name mismatch: stream '" +
-                                     name + "' vs model '" + p->name + "'");
+                                     std::string(name) + "' vs model '" +
+                                     spec.name + "'");
     }
-    if (static_cast<int>(rows) != p->value.rows() ||
-        static_cast<int>(cols) != p->value.cols()) {
-      return Status::InvalidArgument("shape mismatch for parameter " + name);
+    if (rows != static_cast<uint32_t>(spec.rows) ||
+        cols != static_cast<uint32_t>(spec.cols)) {
+      return Status::InvalidArgument("shape mismatch for parameter " +
+                                     spec.name);
     }
-    in.read(reinterpret_cast<char*>(p->value.data()),
-            static_cast<std::streamsize>(p->value.size() * sizeof(double)));
-    if (!in) return Status::IoError("truncated parameter block");
+    const size_t value_at = pos();
+    const uint64_t value_bytes =
+        static_cast<uint64_t>(rows) * cols * sizeof(double);
+    CERL_RETURN_IF_ERROR(r.Skip(value_bytes, "parameter values"));
+    values->push_back(bytes.substr(value_at, value_bytes));
   }
-  return Status::Ok();
+  return pos();
 }
 
 Status SaveParameters(const std::string& path,
@@ -89,9 +102,20 @@ Status SaveParameters(const std::string& path,
 
 Status LoadParameters(const std::string& path,
                       const std::vector<autodiff::Parameter*>& params) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for read: " + path);
-  return LoadParametersFromStream(in, params);
+  Result<std::string> bytes = ReadFileToString(path);
+  if (!bytes.ok()) return bytes.status();
+  std::vector<ParamSpec> specs;
+  specs.reserve(params.size());
+  for (const autodiff::Parameter* p : params) {
+    specs.push_back({p->name, p->value.rows(), p->value.cols()});
+  }
+  std::vector<std::string_view> values;
+  Result<size_t> parsed = ParseParameterBlock(bytes.value(), specs, &values);
+  if (!parsed.ok()) return parsed.status();
+  for (size_t i = 0; i < params.size(); ++i) {
+    std::memcpy(params[i]->value.data(), values[i].data(), values[i].size());
+  }
+  return Status::Ok();
 }
 
 }  // namespace cerl::nn

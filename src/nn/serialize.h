@@ -8,9 +8,11 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "autodiff/tape.h"
+#include "nn/module.h"
 #include "util/status.h"
 
 namespace cerl::nn {
@@ -24,11 +26,19 @@ Status SaveParameters(const std::string& path,
 Status LoadParameters(const std::string& path,
                       const std::vector<autodiff::Parameter*>& params);
 
-/// Stream variants, used to embed parameter blocks inside larger container
-/// formats (e.g. CERL checkpoints).
+/// Stream variant of SaveParameters, used to embed parameter blocks inside
+/// larger container formats (e.g. CERL checkpoints).
 Status SaveParametersToStream(std::ostream& out,
                               const std::vector<autodiff::Parameter*>& params);
-Status LoadParametersFromStream(
-    std::istream& in, const std::vector<autodiff::Parameter*>& params);
+
+/// Parses the parameter block at the front of `bytes` against `expected`
+/// (count, names and shapes must match: the strict round-trip of
+/// SaveParameters) without copying any value: (*values)[i] views parameter
+/// i's rows*cols little-endian doubles inside `bytes`. Returns the block's
+/// length in bytes. Every read is bounds-checked, and a mismatched name
+/// length is rejected before its bytes are read.
+Result<size_t> ParseParameterBlock(std::string_view bytes,
+                                   const std::vector<ParamSpec>& expected,
+                                   std::vector<std::string_view>* values);
 
 }  // namespace cerl::nn

@@ -4,11 +4,13 @@
 // answers "which treatment, for this user, now?").
 //
 // A snapshot is built copy-on-publish from a trainer sitting at a domain
-// boundary: the current model's layer weights, the fitted input/outcome
-// scalers, and the stage counter are copied into plain dense-layer form (no
-// Tape, no Parameters, no trainer pointers), then the whole object is
-// frozen behind shared_ptr<const ...> and swapped into the stream's read
-// slot with an RCU-style atomic exchange (stream_engine.h "QueryEffect").
+// boundary (or decoded from the trainer's CERLCKP2 blob when no trainer is
+// restored at all): the current model's layer weights, the fitted
+// input/outcome scalers, and the stage counter are copied into plain
+// dense-layer form (no Tape, no Parameters, no trainer pointers), then the
+// whole object is frozen behind shared_ptr<const ...> and swapped into the
+// stream's read slot with an RCU-style atomic exchange (stream_engine.h
+// "QueryEffect").
 // Readers therefore never see a half-updated model: they either hold the
 // old snapshot or the new one, and the shared_ptr keeps whichever they hold
 // alive for the duration of the query — writers never wait on readers.
@@ -25,13 +27,18 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "linalg/matrix.h"
 #include "nn/module.h"
+#include "util/status.h"
 
 namespace cerl::core {
 class CerlTrainer;
+}
+namespace cerl::causal {
+struct NetConfig;
 }
 
 namespace cerl::serve {
@@ -82,6 +89,17 @@ struct EffectSnapshot {
 /// nullptr if the trainer has no model yet.
 std::shared_ptr<const EffectSnapshot> BuildEffectSnapshot(
     core::CerlTrainer& trainer, uint64_t version);
+
+/// Decodes a CERLCKP2 trainer blob straight into a snapshot tagged
+/// `version`, with no trainer in between: core::ParseCheckpoint (the parser
+/// CerlTrainer::DeserializeCheckpoint commits from, so a blob it rejects
+/// fails here with the same Status), then BuildEffectSnapshot's layer
+/// builder. The result equals BuildEffectSnapshot of the trainer the blob
+/// restores into, in every weight and in the fingerprint. `net` and
+/// `input_dim` are the architecture the blob must match.
+Result<std::shared_ptr<const EffectSnapshot>> DecodeEffectSnapshot(
+    std::string_view blob, const causal::NetConfig& net, int input_dim,
+    uint64_t version);
 
 /// Recomputes the Checksum64 fingerprint over the snapshot's numeric
 /// payload (same traversal order as BuildEffectSnapshot): one streaming

@@ -17,19 +17,6 @@ constexpr char kMagic[8] = {'C', 'E', 'R', 'L', 'S', 'T', 'O', '1'};
 // implies a multi-terabyte file: 2^22 pages * 4 KiB = 16 GiB.
 constexpr uint32_t kMaxPages = 1u << 22;
 
-Status PreadFull(int fd, char* buf, size_t n, off_t offset,
-                 const std::string& path) {
-  size_t done = 0;
-  while (done < n) {
-    const ssize_t rc = ::pread(fd, buf + done, n - done,
-                               offset + static_cast<off_t>(done));
-    if (rc < 0) return Status::IoError("pread failed: " + path);
-    if (rc == 0) return Status::IoError("short pread (truncated): " + path);
-    done += static_cast<size_t>(rc);
-  }
-  return Status::Ok();
-}
-
 Status PwriteFull(int fd, const char* buf, size_t n, off_t offset,
                   const std::string& path) {
   size_t done = 0;
@@ -43,6 +30,19 @@ Status PwriteFull(int fd, const char* buf, size_t n, off_t offset,
 }
 
 }  // namespace
+
+Status PreadFull(int fd, char* buf, size_t n, uint64_t offset,
+                 const std::string& path) {
+  size_t done = 0;
+  while (done < n) {
+    const ssize_t rc = ::pread(fd, buf + done, n - done,
+                               static_cast<off_t>(offset + done));
+    if (rc < 0) return Status::IoError("pread failed: " + path);
+    if (rc == 0) return Status::IoError("short pread (truncated): " + path);
+    done += static_cast<size_t>(rc);
+  }
+  return Status::Ok();
+}
 
 DiskManager::DiskManager(std::string path, int fd)
     : path_(std::move(path)), fd_(fd) {}

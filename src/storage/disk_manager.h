@@ -33,6 +33,11 @@
 namespace cerl {
 namespace storage {
 
+/// Reads exactly `n` bytes at `offset` of `fd`; a short read (a truncated
+/// file) is an IoError naming `path`.
+Status PreadFull(int fd, char* buf, size_t n, uint64_t offset,
+                 const std::string& path);
+
 class DiskManager {
  public:
   /// Opens (or creates) the store file at `path`. An existing file must

@@ -1,5 +1,9 @@
 #include "storage/tenant_store.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstring>
 #include <vector>
 
@@ -15,6 +19,35 @@ constexpr uint32_t kHeadCapacity = kPageSize - kHeadHeaderBytes;
 constexpr uint32_t kTailCapacity = kPageSize - kNextBytes;
 
 }  // namespace
+
+Result<std::shared_ptr<const ReadOnlyFile>> ReadOnlyFile::Open(
+    const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::IoError("cannot open for read: " + path);
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return Status::IoError("cannot size file: " + path);
+  }
+  return std::shared_ptr<const ReadOnlyFile>(
+      new ReadOnlyFile(path, fd, static_cast<uint64_t>(st.st_size)));
+}
+
+ReadOnlyFile::~ReadOnlyFile() { ::close(fd_); }
+
+Result<std::string> ReadOnlyFile::ReadAt(uint64_t offset, uint64_t n) const {
+  std::string bytes(n, '\0');
+  CERL_RETURN_IF_ERROR(PreadFull(fd_, bytes.data(), n, offset, path_));
+  return bytes;
+}
+
+Status TenantStore::DropLocked(Catalog::iterator it) {
+  const PageId head = it->second.head;
+  const bool chain = it->second.file == nullptr;
+  stored_bytes_ -= it->second.size;
+  catalog_.erase(it);
+  return chain ? FreeChainLocked(head) : Status::Ok();
+}
 
 Status TenantStore::FreeChainLocked(PageId head) {
   DiskManager* disk = pool_->disk();
@@ -35,15 +68,10 @@ Status TenantStore::FreeChainLocked(PageId head) {
 
 Status TenantStore::Put(int64_t key, std::string_view blob) {
   std::lock_guard<std::mutex> lock(mutex_);
-  // Replace semantics: drop the old chain first so its pages are reusable
+  // Replace semantics: drop the old blob first so its pages are reusable
   // for the new one (a tenant's new blob is usually the same size).
   auto it = catalog_.find(key);
-  if (it != catalog_.end()) {
-    stored_bytes_ -= it->second.size;
-    const PageId old_head = it->second.head;
-    catalog_.erase(it);
-    CERL_RETURN_IF_ERROR(FreeChainLocked(old_head));
-  }
+  if (it != catalog_.end()) CERL_RETURN_IF_ERROR(DropLocked(it));
 
   // Allocate and fill the chain front-to-back; each page is linked to its
   // successor after the successor exists, so a mid-Put failure leaks no
@@ -94,17 +122,41 @@ Status TenantStore::Put(int64_t key, std::string_view blob) {
     return status;
   }
 
-  catalog_[key] = Entry{pages.front(), blob.size()};
+  catalog_[key] = Entry{pages.front(), blob.size(), nullptr, 0};
   stored_bytes_ += blob.size();
   return Status::Ok();
 }
 
-Result<std::string> TenantStore::Get(int64_t key) const {
+Status TenantStore::Adopt(int64_t key,
+                          std::shared_ptr<const ReadOnlyFile> file,
+                          uint64_t offset, uint64_t size) {
   std::lock_guard<std::mutex> lock(mutex_);
+  auto it = catalog_.find(key);
+  if (it != catalog_.end()) CERL_RETURN_IF_ERROR(DropLocked(it));
+  catalog_[key] = Entry{kInvalidPageId, size, std::move(file), offset};
+  stored_bytes_ += size;
+  return Status::Ok();
+}
+
+Result<std::string> TenantStore::Get(int64_t key) const {
+  std::unique_lock<std::mutex> lock(mutex_);
   const auto it = catalog_.find(key);
   if (it == catalog_.end()) {
     return Status::NotFound("tenant store has no blob for key " +
                             std::to_string(key));
+  }
+  if (it->second.file != nullptr) {
+    // The copied entry keeps the descriptor open, so the read runs
+    // off-lock: concurrent fault-backs do not queue behind each other.
+    const Entry range = it->second;
+    lock.unlock();
+    Result<std::string> blob = range.file->ReadAt(range.offset, range.size);
+    if (!blob.ok()) return blob.status();
+    CERL_RETURN_IF_ERROR(
+        VerifyChecksum(blob.value(),
+                       "tenant store range for key " + std::to_string(key))
+            .status());
+    return blob;
   }
   std::string blob;
   blob.reserve(it->second.size);
@@ -156,10 +208,7 @@ Status TenantStore::Erase(int64_t key) {
     return Status::NotFound("tenant store has no blob for key " +
                             std::to_string(key));
   }
-  const PageId head = it->second.head;
-  stored_bytes_ -= it->second.size;
-  catalog_.erase(it);
-  return FreeChainLocked(head);
+  return DropLocked(it);
 }
 
 bool TenantStore::Contains(int64_t key) const {

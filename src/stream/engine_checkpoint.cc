@@ -27,8 +27,8 @@
 //
 // Checksum scope: the trailing hash covers the container METADATA only —
 // the embedded CERLCKP2 blob spans are excluded. Each blob already carries
-// its own whole-payload checksum (verified by DeserializeCheckpoint), so
-// corruption anywhere is still detected; what the exclusion buys is that
+// its own whole-payload checksum (verified when LoadSnapshot decodes it),
+// so corruption anywhere is still detected; what the exclusion buys is that
 // SaveSnapshot appends each captured blob once and never re-hashes
 // megabytes of parameters.
 //
@@ -36,10 +36,16 @@
 // the stream's state after its consumed domains, which IS its last-good
 // state — LoadSnapshot re-seeds each stream's rollback target from it.
 //
+// LoadSnapshot publishes every trained stream's snapshot decoded straight
+// from its blob. An engine with a spill store and a resident budget then
+// restores no trainer at all: each trained stream starts spilled, and the
+// store adopts its blob as a byte range of the snapshot file (cold start,
+// O(decode) per tenant). Otherwise every trainer is restored too.
+//
 // Every read is bounds-checked against the remaining payload before
-// allocating, and LoadSnapshot stages the entire engine (streams and
-// trainers) before publishing anything — a corrupt snapshot leaves the
-// target engine with zero streams.
+// allocating, and LoadSnapshot stages the entire engine (streams, trainers
+// and snapshots) before publishing anything — a corrupt snapshot leaves the
+// target engine with zero streams and adopts no range.
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -439,7 +445,15 @@ Status StreamEngine::LoadSnapshot(const std::string& path) {
           "LoadSnapshot requires a fresh engine (no streams registered)");
     }
   }
-  Result<std::string> bytes = ReadFileToString(path);
+  // One descriptor reads the container, and a cold start keeps it: each
+  // cold tenant's blob stays a byte range of this file, so the bytes the
+  // store adopts are exactly the bytes verified below.
+  Result<std::shared_ptr<const storage::ReadOnlyFile>> opened =
+      storage::ReadOnlyFile::Open(path);
+  if (!opened.ok()) return opened.status();
+  const std::shared_ptr<const storage::ReadOnlyFile> file =
+      std::move(opened).value();
+  Result<std::string> bytes = file->ReadAt(0, file->size());
   if (!bytes.ok()) return bytes.status();
   const std::string& raw = bytes.value();
 
@@ -468,12 +482,22 @@ Status StreamEngine::LoadSnapshot(const std::string& path) {
                            std::to_string(num_streams));
   }
 
+  // Cold start: with a spill store and a resident budget no trainer is
+  // restored. A trained tenant serves the snapshot decoded from its blob
+  // and starts spilled on that blob's byte range of the file, so the
+  // restart costs the decode, not a trainer per tenant; its first pushed
+  // domain (or EnsureResident) faults the trainer in.
+  const bool cold = store_ != nullptr && options_.max_resident_streams > 0;
+
   // Stage the whole engine before publishing anything: StreamStates are
   // built (and trainers restored) into a local vector, so any failure below
-  // leaves this engine with zero streams.
+  // leaves this engine with zero streams and the store without ranges.
   std::vector<std::unique_ptr<StreamState>> staged;
+  std::vector<std::shared_ptr<const serve::EffectSnapshot>> decoded;
   std::vector<std::pair<size_t, size_t>> blob_spans;
+  std::vector<int> blob_streams;  // the stream of each span
   staged.reserve(num_streams);
+  decoded.resize(num_streams);
   for (uint32_t i = 0; i < num_streams; ++i) {
     uint32_t name_len = 0;
     CERL_RETURN_IF_ERROR(r.ReadPod(&name_len, "stream name length"));
@@ -534,17 +558,29 @@ Status StreamEngine::LoadSnapshot(const std::string& path) {
     if (has_trainer) {
       uint64_t blob_len = 0;
       CERL_RETURN_IF_ERROR(r.ReadPod(&blob_len, "trainer blob length"));
-      CERL_RETURN_IF_ERROR(r.Require(blob_len, "trainer blob"));
+      const size_t blob_at = payload.size() - r.remaining();
+      CERL_RETURN_IF_ERROR(r.Skip(blob_len, "trainer blob"));
+      const std::string_view blob = payload.substr(blob_at, blob_len);
       // The blob bytes are excluded from the container checksum — record
       // the span for the post-parse verification below.
-      blob_spans.emplace_back(payload.size() - r.remaining(),
-                              static_cast<size_t>(blob_len));
-      std::string blob(static_cast<size_t>(blob_len), '\0');
-      CERL_RETURN_IF_ERROR(r.ReadRaw(blob.data(), blob_len, "trainer blob"));
-      CERL_RETURN_IF_ERROR(state->trainer.DeserializeCheckpoint(blob));
-      // The blob is the state after the consumed domains, so it doubles as
-      // the restored stream's last-good rollback target.
-      state->last_good = std::make_shared<const std::string>(std::move(blob));
+      blob_spans.emplace_back(blob_at, blob.size());
+      blob_streams.push_back(static_cast<int>(i));
+      // Every trained stream publishes from its blob, which validates it
+      // whole (version 1: publish sequence numbers are engine-lifetime,
+      // not durable).
+      Result<std::shared_ptr<const serve::EffectSnapshot>> snap =
+          serve::DecodeEffectSnapshot(blob, config.net,
+                                      static_cast<int>(input_dim), 1);
+      if (!snap.ok()) return snap.status();
+      decoded[i] = std::move(snap).value();
+      if (cold) {
+        state->resident = false;  // the store adopts the range at commit
+      } else {
+        CERL_RETURN_IF_ERROR(state->trainer.DeserializeCheckpoint(blob));
+        // The blob is the state after the consumed domains, so it doubles
+        // as the restored stream's last-good rollback target.
+        state->last_good = std::make_shared<const std::string>(blob);
+      }
     }
     state->pushed = static_cast<int>(completed);
     staged.push_back(std::move(state));
@@ -554,7 +590,7 @@ Status StreamEngine::LoadSnapshot(const std::string& path) {
                            std::to_string(r.remaining()) + " trailing bytes");
   }
   // Post-parse metadata verification: hash everything except the blob spans
-  // (each blob verified its own checksum in DeserializeCheckpoint above).
+  // (each blob verified its own checksum in DecodeEffectSnapshot above).
   // Runs before anything is committed, so a corrupt container still leaves
   // the engine with zero streams.
   if (MetadataHash(payload, blob_spans) != stored_hash) {
@@ -568,13 +604,23 @@ Status StreamEngine::LoadSnapshot(const std::string& path) {
       return Status::FailedPrecondition(
           "engine changed while LoadSnapshot was parsing");
     }
+    for (size_t k = 0; cold && k < blob_spans.size(); ++k) {
+      Status adopted = store_->Adopt(blob_streams[k], file,
+                                     blob_spans[k].first, blob_spans[k].second);
+      if (!adopted.ok()) {
+        for (size_t j = 0; j < k; ++j) (void)store_->Erase(blob_streams[j]);
+        return adopted;
+      }
+    }
     streams_ = std::move(staged);
   }
-  // Re-publish the serving plane: a restored trained stream is queryable
-  // immediately (version restarts at 1 — publish sequence numbers are
-  // engine-lifetime, not durable). Runs before any WAL replay, so queries
-  // never race the rebuilt trainers.
-  for (auto& state : streams_) PublishSnapshot(state.get());
+  // Publish the serving plane: a trained stream is queryable immediately,
+  // before any WAL replay queues work behind it.
+  for (size_t i = 0; i < decoded.size(); ++i) {
+    if (decoded[i] != nullptr) {
+      PublishSnapshot(streams_[i].get(), std::move(decoded[i]));
+    }
+  }
   return Status::Ok();
 }
 

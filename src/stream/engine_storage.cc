@@ -232,12 +232,10 @@ Status StreamEngine::Recover(const std::string& snapshot_path) {
     }
   }
   {
+    // Nothing to spill here: under a resident budget the snapshot restore
+    // left only untrained streams resident, and those are never victims.
     std::lock_guard<std::mutex> lock(state_mutex_);
     wal_replaying_ = false;
-    // The recovered engine may exceed the resident budget (snapshot restore
-    // faults every tenant in); re-establish it now rather than waiting for
-    // the first completion.
-    MaybeScheduleSpillsLocked();
   }
   // On a decode error the engine keeps the snapshot state plus the valid
   // record prefix (prefix recovery — same contract as the WAL's own
@@ -320,27 +318,36 @@ Status StreamEngine::EnsureResidentOnGroup(StreamState* s) {
 
 void StreamEngine::MaybeScheduleSpillsLocked() {
   if (store_ == nullptr || options_.max_resident_streams <= 0) return;
+  // One pass: count the resident streams (a stream already spilling still
+  // counts until its spill lands) and collect the candidates, the idle,
+  // trained (last_good set), not-already-spilling ones.
   int resident = 0;
+  std::vector<StreamState*> candidates;
   for (const auto& s : streams_) {
-    if (s->resident) ++resident;
-  }
-  while (resident > options_.max_resident_streams) {
-    // LRU victim among idle, trained (last_good set), not-already-spilling
-    // streams.
-    StreamState* victim = nullptr;
-    for (const auto& s : streams_) {
-      if (!s->resident || s->spilling || s->in_flight != nullptr ||
-          !s->queue.empty() || s->last_good == nullptr) {
-        continue;
-      }
-      if (victim == nullptr || s->touch_tick < victim->touch_tick) {
-        victim = s.get();
-      }
+    if (!s->resident) continue;
+    ++resident;
+    if (s->spilling || s->in_flight != nullptr || !s->queue.empty() ||
+        s->last_good == nullptr) {
+      continue;
     }
-    if (victim == nullptr) return;  // everyone is busy or untrained
-    victim->spilling = true;
-    --resident;
-    StreamState* v = victim;
+    candidates.push_back(s.get());
+  }
+  const size_t victims = std::min(
+      candidates.size(),
+      static_cast<size_t>(
+          std::max(0, resident - options_.max_resident_streams)));
+  if (victims == 0) return;  // within budget, or everyone busy/untrained
+  // Least recently active first, ties to the lower id.
+  std::partial_sort(candidates.begin(), candidates.begin() + victims,
+                    candidates.end(),
+                    [](const StreamState* a, const StreamState* b) {
+                      return a->touch_tick != b->touch_tick
+                                 ? a->touch_tick < b->touch_tick
+                                 : a->id < b->id;
+                    });
+  for (size_t k = 0; k < victims; ++k) {
+    StreamState* v = candidates[k];
+    v->spilling = true;
     // The spill body runs on the victim's group, serialized against its
     // stage pipeline — see the file comment for the race argument.
     v->group.Submit([this, v] { SpillOnGroup(v); });

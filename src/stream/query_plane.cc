@@ -36,12 +36,9 @@ double MsSince(Clock::time_point t0) {
 
 }  // namespace
 
-void StreamEngine::PublishSnapshot(StreamState* s) {
-  const uint64_t version =
-      s->snapshot_version.load(std::memory_order_relaxed) + 1;
-  std::shared_ptr<const serve::EffectSnapshot> snap =
-      serve::BuildEffectSnapshot(s->trainer, version);
-  if (snap == nullptr) return;  // nothing trained yet
+void StreamEngine::PublishSnapshot(
+    StreamState* s, std::shared_ptr<const serve::EffectSnapshot> snap) {
+  const uint64_t version = snap->version;
   std::atomic_store_explicit(&s->snapshot, std::move(snap),
                              std::memory_order_release);
   s->snapshot_version.store(version, std::memory_order_release);

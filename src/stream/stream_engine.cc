@@ -324,7 +324,10 @@ void StreamEngine::SubmitAttemptLocked(StreamState* s) {
     // Publish the new domain boundary to the serving plane, still outside
     // the engine lock (the group serializes the trainer; readers swap in
     // the snapshot via the RCU exchange, never via state_mutex_).
-    PublishSnapshot(sp);
+    PublishSnapshot(
+        sp, serve::BuildEffectSnapshot(
+                sp->trainer,
+                sp->snapshot_version.load(std::memory_order_relaxed) + 1));
     const double completion_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - d->pushed_at)

@@ -378,15 +378,27 @@ class StreamEngine {
 
   /// Rebuilds a saved CERLENG6 engine into THIS engine, which must be
   /// freshly constructed (no streams registered): re-creates every stream
-  /// from its serialized config, restores each trainer bit-identically
-  /// (re-seeding its last-good rollback blob), and restores health /
-  /// quarantine state and cost-model rates. Nothing is queued afterwards:
-  /// Recover() replays the pending domains from the WAL.
+  /// from its serialized config, publishes each trained stream's snapshot
+  /// (version 1) decoded straight from its trainer blob, and restores
+  /// health / quarantine state and cost-model rates. Trainers:
+  ///  - with a spill store open and a resident budget, none is restored.
+  ///    Each trained stream starts spilled, its blob a byte range of the
+  ///    snapshot file that the store adopts through the descriptor the
+  ///    file was read with, and faults in on its first pushed domain or
+  ///    EnsureResident — so a restart costs one decode per tenant, not a
+  ///    trainer. A later SaveSnapshot to the same path renames a new file
+  ///    over it; the old file's disk space stays allocated until the last
+  ///    cold tenant faults back or the engine closes;
+  ///  - otherwise every trainer is restored bit-identically (re-seeding its
+  ///    last-good rollback blob).
+  /// Nothing is queued afterwards: Recover() replays the pending domains
+  /// from the WAL.
   /// Worker count and scheduling policy stay as THIS engine was
   /// constructed — they are runtime choices, not durable state. Per-domain
   /// results of the saved engine are not restored (stats are transient
   /// diagnostics); domain indices continue from the saved counters.
-  /// All-or-nothing: on any error the engine still has zero streams.
+  /// All-or-nothing: on any error the engine still has zero streams and
+  /// the store adopted nothing.
   Status LoadSnapshot(const std::string& path);
 
   // --- Paged tenant-state storage + WAL (engine_storage.cc) -------------
@@ -402,9 +414,10 @@ class StreamEngine {
   /// WAL record the snapshot does not subsume — stream registrations the
   /// snapshot predates, and per stream exactly the accepted domains whose
   /// index is at or past its restored completed count, in original push
-  /// order. The rebuilt engine trains on bit-identically to the
-  /// uninterrupted run. Requires a fresh engine; snapshot_path may be ""
-  /// (WAL-only recovery).
+  /// order. Under a resident budget no trainer is restored (see
+  /// LoadSnapshot): a replayed domain faults its tenant in like any push.
+  /// The rebuilt engine trains on bit-identically to the uninterrupted run.
+  /// Requires a fresh engine; snapshot_path may be "" (WAL-only recovery).
   Status Recover(const std::string& snapshot_path);
 
   /// Faults stream `id`'s state back in from the page store if it was
@@ -461,12 +474,13 @@ class StreamEngine {
   /// exclusively, as LoadSnapshot does).
   static void SetHealth(StreamState* s, StreamHealth health);
 
-  /// Builds and RCU-publishes the stream's next EffectSnapshot from its
-  /// trainer. Must run where the trainer is quiescent and externally
-  /// serialized: the stream's task group (finish task) or LoadSnapshot's
-  /// single-threaded restore. No-op while the trainer has no model yet.
-  /// Defined in stream/query_plane.cc.
-  void PublishSnapshot(StreamState* s);
+  /// RCU-publishes `snap` (non-null, its version one past the stream's
+  /// current one) as the stream's read-side model. Runs where publishes are
+  /// serialized: the stream's task group (the finish task, from the trained
+  /// trainer) or LoadSnapshot (decoded from each blob) before anything is
+  /// queued. Defined in stream/query_plane.cc.
+  void PublishSnapshot(StreamState* s,
+                       std::shared_ptr<const serve::EffectSnapshot> snap);
 
   /// Runs one stage body with wall-time measurement, feeds the observation
   /// to the stream's cost model, attributes steals, and refreshes the

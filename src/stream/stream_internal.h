@@ -117,7 +117,8 @@ struct StreamEngine::StreamState {
   // --- Paged tenant-state storage (engine_storage.cc; guarded by the
   // engine's state_mutex_) ----------------------------------------------
   /// Live trainer state is in RAM. False = spilled: the trainer is reset
-  /// and the CERLCKP2 blob lives in the tenant store until the next
+  /// and the CERLCKP2 blob lives in the tenant store (a page chain, or the
+  /// snapshot-file range a cold LoadSnapshot adopted) until the next
   /// pushed domain (or EnsureResident) faults it back. A spill stores the
   /// blob before it clears the flag; a fault-back erases the blob in the
   /// critical section that sets it. A snapshot capture therefore always

@@ -223,11 +223,10 @@ Status BoundedReader::ReadRaw(void* dst, uint64_t n, const char* what) {
   return Status::Ok();
 }
 
-Status BoundedReader::Consume(uint64_t n, const char* what) {
-  if (n > remaining_) {
-    return Status::IoError(std::string(what) +
-                           " overran the container payload");
-  }
+Status BoundedReader::Skip(uint64_t n, const char* what) {
+  CERL_RETURN_IF_ERROR(Require(n, what));
+  in_->seekg(static_cast<std::streamoff>(n), std::ios_base::cur);
+  if (!*in_) return Status::IoError(std::string("cannot skip ") + what);
   remaining_ -= n;
   return Status::Ok();
 }

@@ -116,9 +116,10 @@ class BoundedReader {
     return ReadRaw(value, sizeof(T), what);
   }
 
-  /// Deducts `n` bytes consumed by a self-describing sub-parser that read
-  /// from the underlying stream directly (nn parameter blocks).
-  Status Consume(uint64_t n, const char* what);
+  /// Steps over `n` bytes that the caller reads in place instead: a span a
+  /// sub-parser parses from the underlying buffer (nn parameter blocks) or
+  /// one it only views (embedded trainer blobs).
+  Status Skip(uint64_t n, const char* what);
 
   /// Fails unless at least `n` bytes remain — the pre-allocation guard for
   /// length fields (call before resizing a buffer to a file-provided size).

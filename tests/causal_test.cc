@@ -250,6 +250,33 @@ TEST(RepOutcomeNetTest, CopyParametersMatchesOutputs) {
             0.0);
 }
 
+// The specs a checkpoint's parameter block is checked against are the
+// names and shapes the net really holds, for cosine and plain reps; a net
+// built without an rng holds only zeros.
+TEST(RepOutcomeNetTest, ParameterSpecsMatchTheBuiltNet) {
+  for (bool cosine : {true, false}) {
+    NetConfig config = SmallNet();
+    config.cosine_normalized_rep = cosine;
+    Rng rng(8);
+    RepOutcomeNet net(&rng, config, 6);
+    const std::vector<nn::ParamSpec> specs = NetParameterSpecs(config, 6);
+    const std::vector<Parameter*> params = net.Parameters();
+    ASSERT_EQ(specs.size(), params.size()) << "cosine " << cosine;
+    for (size_t i = 0; i < specs.size(); ++i) {
+      EXPECT_EQ(specs[i].name, params[i]->name);
+      EXPECT_EQ(specs[i].rows, params[i]->value.rows()) << specs[i].name;
+      EXPECT_EQ(specs[i].cols, params[i]->value.cols()) << specs[i].name;
+    }
+    RepOutcomeNet blank(nullptr, config, 6);
+    for (Parameter* p : blank.Parameters()) {
+      EXPECT_EQ(Matrix::MaxAbsDiff(p->value, Matrix(p->value.rows(),
+                                                    p->value.cols())),
+                0.0)
+          << p->name;
+    }
+  }
+}
+
 TEST(CfrTest, TrainingImprovesPeheOverInit) {
   Rng rng(7);
   CausalDataset train = ToyDgp(&rng, 600);

@@ -4,10 +4,14 @@
 // errors — no crash, no OOM-sized allocation, and no partial mutation of the
 // target trainer/engine. Structural corruptions (with the checksum
 // recomputed so they reach the field validators) exercise the typed error
-// paths behind the checksum. Runs under ASan in CI.
+// paths behind the checksum. Every engine case runs through both restore
+// paths: a plain engine, and a budgeted one with a spill store (which
+// restores no trainer and must adopt no range of a rejected file). Runs
+// under ASan in CI.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -136,9 +140,11 @@ std::string Refinalized(std::string payload_without_checksum) {
 // CERLCKP2 scaler offsets for kInputDim features: the 16-byte header and 41
 // bytes of RNG state, then the x-scaler mean and std vectors (u32 length +
 // doubles each), then the y-scaler mean and std.
-constexpr size_t kXStdLenAt = 57 + 4 + kInputDim * 8;
+constexpr size_t kXMeanAt = 57 + 4;
+constexpr size_t kXStdLenAt = kXMeanAt + kInputDim * 8;
 constexpr size_t kXStdAt = kXStdLenAt + 4;
-constexpr size_t kYStdAt = kXStdAt + kInputDim * 8 + 8;
+constexpr size_t kYMeanAt = kXStdAt + kInputDim * 8;
+constexpr size_t kYStdAt = kYMeanAt + 8;
 
 std::string WithDouble(std::string bytes, size_t at, double value) {
   std::memcpy(bytes.data() + at, &value, sizeof(value));
@@ -221,6 +227,16 @@ TEST(CheckpointCorruptionTest, TrainerStructuralCorruptionsBehindChecksum) {
     ExpectTrainerRejects(
         Refinalized(WithDouble(payload, kXStdAt + 8 * 3, bad)));
   }
+  // Non-finite scaler means: no Fit writes one, and a trainer restored
+  // from one would serve non-finite effects.
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    ExpectTrainerRejects(Refinalized(WithDouble(payload, kYMeanAt, bad)));
+    ExpectTrainerRejects(Refinalized(WithDouble(payload, kXMeanAt, bad)));
+    ExpectTrainerRejects(
+        Refinalized(WithDouble(payload, kXMeanAt + 8 * (kInputDim - 1), bad)));
+  }
   // Sanity: the untouched payload still loads (offsets above are live).
   {
     CerlTrainer trainer(TinyConfig(), kInputDim);
@@ -245,20 +261,51 @@ TEST(CheckpointCorruptionTest, TrainerOlderFormatIsNamedByItsMagic) {
   ExpectTrainerUnmutated(&trainer);
 }
 
-// A failed LoadSnapshot leaves the engine with zero streams, so one engine
-// (and its worker threads) is reused across all corruption cases. Returns
-// the rejection so callers can check which validator fired.
-Status ExpectEngineRejects(stream::StreamEngine* engine,
-                           const std::string& bytes) {
+// The two restore paths a container takes: a plain engine restores every
+// trainer; a budgeted one with a spill store restores none (its trained
+// tenants would start spilled on adopted byte ranges of the file). A failed
+// LoadSnapshot leaves each with zero streams, so one pair (and its worker
+// threads) is reused across all corruption cases of a test.
+struct RestoreTargets {
+  RestoreTargets() : plain(Options("")), budgeted(Options("budgeted")) {
+    const Status opened = budgeted.OpenStorage();
+    CERL_CHECK_MSG(opened.ok(), opened.ToString().c_str());
+  }
+
+  static stream::StreamEngineOptions Options(const std::string& store) {
+    stream::StreamEngineOptions options;
+    options.num_workers = 1;
+    if (!store.empty()) {
+      options.storage_path =
+          ::testing::TempDir() + "/corrupt_" + store + ".store";
+      std::remove(options.storage_path.c_str());
+      options.max_resident_streams = 1;
+    }
+    return options;
+  }
+
+  stream::StreamEngine plain;
+  stream::StreamEngine budgeted;
+};
+
+// Both engines must reject `bytes` with the same error, keep zero streams,
+// and leave the store without any adopted range. Returns the rejection so
+// callers can check which validator fired.
+Status ExpectEngineRejects(RestoreTargets* targets, const std::string& bytes) {
   const std::string path = ::testing::TempDir() + "/corrupt_case.snap";
   {
     std::ofstream out(path, std::ios::binary);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-  const Status s = engine->LoadSnapshot(path);
+  const Status s = targets->plain.LoadSnapshot(path);
   EXPECT_FALSE(s.ok());
   EXPECT_FALSE(s.message().empty());
-  EXPECT_EQ(engine->num_streams(), 0);  // all-or-nothing
+  EXPECT_EQ(targets->plain.num_streams(), 0);  // all-or-nothing
+  const Status budgeted = targets->budgeted.LoadSnapshot(path);
+  EXPECT_EQ(budgeted.code(), s.code()) << budgeted.ToString();
+  EXPECT_EQ(budgeted.message(), s.message());
+  EXPECT_EQ(targets->budgeted.num_streams(), 0);
+  EXPECT_EQ(targets->budgeted.storage_stats().store_blob_bytes, 0u);
   return s;
 }
 
@@ -266,18 +313,34 @@ Status ExpectEngineRejects(stream::StreamEngine* engine,
 // whole-payload hash Refinalized() appends matches no engine container — so
 // a structural case must be rejected by its own validator first. Were that
 // validator deleted, the checksum would still reject the file and hide it.
-void ExpectEngineValidatorRejects(stream::StreamEngine* engine,
+void ExpectEngineValidatorRejects(RestoreTargets* targets,
                                   const std::string& bytes) {
-  const Status s = ExpectEngineRejects(engine, bytes);
+  const Status s = ExpectEngineRejects(targets, bytes);
   EXPECT_EQ(s.message().find("checksum mismatch"), std::string::npos)
       << s.ToString();
 }
 
+// The container with the double at offset `at` of its first stream's
+// CERLCKP2 blob set to `value`, behind the blob's recomputed checksum (the
+// container hash skips blob spans).
+std::string WithDoubleInFirstBlob(const std::string& container, size_t at,
+                                  double value) {
+  const size_t blob_at = container.find("CERLCKP2");
+  CERL_CHECK(blob_at != std::string::npos);
+  uint64_t blob_len = 0;
+  std::memcpy(&blob_len, container.data() + blob_at - 8, 8);
+  CERL_CHECK_GT(blob_len, at + 16);
+  std::string bytes = container;
+  std::memcpy(bytes.data() + blob_at + at, &value, sizeof(value));
+  std::string blob = bytes.substr(blob_at, blob_len - 8);
+  AppendChecksum(&blob);
+  bytes.replace(blob_at, blob_len, blob);
+  return bytes;
+}
+
 TEST(CheckpointCorruptionTest, EngineTruncationAtSampledOffsets) {
   const std::string& valid = ValidEnginePayload();
-  stream::StreamEngineOptions options;
-  options.num_workers = 1;
-  stream::StreamEngine engine(options);
+  RestoreTargets engine;
   // The engine container embeds trainer blobs, so it is larger; sample
   // densely at the front (header/config region) and stride the rest.
   for (size_t len = 0; len < std::min<size_t>(valid.size(), 256); ++len) {
@@ -291,9 +354,7 @@ TEST(CheckpointCorruptionTest, EngineTruncationAtSampledOffsets) {
 
 TEST(CheckpointCorruptionTest, EngineByteFlipAtSampledOffsets) {
   const std::string& valid = ValidEnginePayload();
-  stream::StreamEngineOptions options;
-  options.num_workers = 1;
-  stream::StreamEngine engine(options);
+  RestoreTargets engine;
   for (size_t pos = 0; pos < std::min<size_t>(valid.size(), 256); ++pos) {
     ExpectEngineRejects(&engine, Flipped(valid, pos, 0x01));
   }
@@ -308,9 +369,7 @@ TEST(CheckpointCorruptionTest, EngineByteFlipAtSampledOffsets) {
 TEST(CheckpointCorruptionTest, EngineStructuralCorruptionsBehindChecksum) {
   const std::string& valid = ValidEnginePayload();
   std::string payload = valid.substr(0, valid.size() - 8);
-  stream::StreamEngineOptions options;
-  options.num_workers = 1;
-  stream::StreamEngine engine(options);
+  RestoreTargets engine;
 
   // Bad magic.
   ExpectEngineValidatorRejects(&engine, Refinalized("Y" + payload.substr(1)));
@@ -344,32 +403,27 @@ TEST(CheckpointCorruptionTest, EngineStructuralCorruptionsBehindChecksum) {
   // Trailing garbage.
   ExpectEngineValidatorRejects(&engine,
                                Refinalized(payload + std::string(5, '\x11')));
-  // A zero y-scaler std inside the first embedded trainer blob, behind the
-  // blob's own recomputed checksum (the container hash skips blob spans).
-  {
-    const size_t blob_at = valid.find("CERLCKP2");
-    ASSERT_NE(blob_at, std::string::npos);
-    uint64_t blob_len = 0;
-    std::memcpy(&blob_len, valid.data() + blob_at - 8, 8);
-    ASSERT_GT(blob_len, kYStdAt + 8);
-    const std::string blob = valid.substr(blob_at, blob_len);
-    const std::string bad_blob = Refinalized(
-        WithDouble(blob.substr(0, blob.size() - 8), kYStdAt, 0.0));
-    std::string bytes = valid;
-    bytes.replace(blob_at, blob_len, bad_blob);
-    ExpectEngineValidatorRejects(&engine, bytes);
-  }
-  // Sanity: the untouched container still loads.
+  // A zero y-scaler std, and a NaN x-scaler mean, inside the first
+  // embedded trainer blob.
+  ExpectEngineValidatorRejects(&engine,
+                               WithDoubleInFirstBlob(valid, kYStdAt, 0.0));
+  ExpectEngineValidatorRejects(
+      &engine, WithDoubleInFirstBlob(
+                   valid, kXMeanAt, std::numeric_limits<double>::quiet_NaN()));
+  // Sanity: the untouched container still loads, into both targets (the
+  // budgeted one restores both trained streams spilled on adopted ranges).
   {
     const std::string path = ::testing::TempDir() + "/corrupt_sane.snap";
     std::ofstream out(path, std::ios::binary);
     out.write(valid.data(), static_cast<std::streamsize>(valid.size()));
     out.close();
-    stream::StreamEngineOptions options;
-    options.num_workers = 2;
-    stream::StreamEngine engine(options);
-    ASSERT_TRUE(engine.LoadSnapshot(path).ok());
-    EXPECT_EQ(engine.num_streams(), 2);
+    RestoreTargets fresh;
+    ASSERT_TRUE(fresh.plain.LoadSnapshot(path).ok());
+    EXPECT_EQ(fresh.plain.num_streams(), 2);
+    ASSERT_TRUE(fresh.budgeted.LoadSnapshot(path).ok());
+    EXPECT_EQ(fresh.budgeted.num_streams(), 2);
+    EXPECT_EQ(fresh.budgeted.storage_stats().spilled_streams, 2);
+    EXPECT_GT(fresh.budgeted.storage_stats().store_blob_bytes, 0u);
   }
 }
 

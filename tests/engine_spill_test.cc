@@ -1,8 +1,9 @@
 // Spill/fault-back tests for the paged tenant-state storage engine: an
 // engine bounded to max_resident_streams < num_streams must train a
 // multi-tenant run bit-identically to the all-resident engine, keep serving
-// effect queries for spilled tenants, embed spilled blobs in snapshots, and
-// recover bitwise from snapshots taken while tenants spill and fault back.
+// effect queries for spilled tenants, embed spilled blobs in snapshots,
+// recover bitwise from snapshots taken while tenants spill and fault back,
+// and restart under a budget without restoring a single trainer.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -329,6 +330,113 @@ TEST(EngineSpillTest, SnapshotsDuringSpillChurnRecoverBitIdentically) {
                                domains[s][0].test.x,
                                "stream " + std::to_string(s));
   }
+}
+
+// A restart under a resident budget restores no trainer: each trained
+// tenant starts spilled on its blob's byte range of the snapshot file and
+// answers from a snapshot decoded from that blob. Before any push only the
+// untrained stream is resident, and queries, a SaveSnapshot to the same
+// path and a domain pushed to a cold tenant all match an engine that never
+// restarted.
+TEST(EngineSpillTest, RecoverUnderBudgetStartsTrainedTenantsSpilled) {
+  const int kStreams = 5;
+  const int kTrained = 4;  // the last stream never sees a domain
+  std::vector<CerlConfig> configs;
+  std::vector<std::vector<DataSplit>> domains;
+  for (int s = 0; s < kStreams; ++s) {
+    configs.push_back(FastConfig(700 + 13 * s));
+    domains.push_back(MakeStream(140 + s, 2, 0.3 + 0.1 * s));
+  }
+  StreamEngineOptions plain;
+  plain.num_workers = 3;
+  StreamEngine reference(plain);
+  for (int s = 0; s < kStreams; ++s) {
+    reference.AddStream("tenant-" + std::to_string(s), configs[s], kFeatures);
+  }
+  for (int s = 0; s < kTrained; ++s) {
+    ASSERT_TRUE(reference.PushDomain(s, domains[s][0]).ok());
+  }
+  reference.Drain();
+
+  StreamEngineOptions options = plain;
+  options.storage_path = TempPath("cold_start.store");
+  options.max_resident_streams = 2;
+  options.wal_path = TempPath("cold_start.wal");
+  const std::string snap = TempPath("cold_start.snap");
+  std::vector<uint64_t> fingerprints(kTrained);
+  {
+    StreamEngine engine(options);
+    ASSERT_TRUE(engine.OpenStorage().ok());
+    for (int s = 0; s < kStreams; ++s) {
+      engine.AddStream("tenant-" + std::to_string(s), configs[s], kFeatures);
+    }
+    for (int s = 0; s < kTrained; ++s) {
+      ASSERT_TRUE(engine.PushDomain(s, domains[s][0]).ok());
+    }
+    engine.Drain();
+    ASSERT_TRUE(engine.SaveSnapshot(snap).ok());
+    for (int s = 0; s < kTrained; ++s) {
+      fingerprints[s] = engine.effect_snapshot(s)->fingerprint;
+    }
+  }
+
+  StreamEngine recovered(options);
+  ASSERT_TRUE(recovered.Recover(snap).ok());
+  ASSERT_EQ(recovered.num_streams(), kStreams);
+  const StreamEngine::StorageStats cold = recovered.storage_stats();
+  EXPECT_EQ(cold.resident_streams, kStreams - kTrained);
+  EXPECT_EQ(cold.spilled_streams, kTrained);
+  EXPECT_EQ(cold.fault_backs, 0);
+  EXPECT_GT(cold.store_blob_bytes, 0u);
+  EXPECT_EQ(recovered.trainer(0).stages_seen(), 0);  // nothing restored
+
+  QueryContext* ctx = recovered.CreateQueryContext();
+  for (int s = 0; s < kTrained; ++s) {
+    const auto published = recovered.effect_snapshot(s);
+    ASSERT_NE(published, nullptr) << "stream " << s;
+    EXPECT_EQ(published->version, 1u);
+    EXPECT_EQ(published->fingerprint, fingerprints[s]) << "stream " << s;
+    const Matrix& x = domains[s][0].test.x;
+    Vector ite;
+    ASSERT_TRUE(recovered.QueryEffectBatch(ctx, s, x, &ite).ok());
+    const Vector expected = reference.trainer(s).PredictIte(x);
+    ASSERT_EQ(ite.size(), expected.size());
+    for (size_t i = 0; i < ite.size(); ++i) {
+      ASSERT_EQ(ite[i], expected[i]) << "stream " << s << " unit " << i;
+    }
+  }
+  EXPECT_EQ(recovered.effect_snapshot(kTrained), nullptr);
+
+  // The save renames a new file over the one the cold ranges live in; the
+  // store's descriptor keeps the old bytes readable, and the new file
+  // restores every trainer bit for bit.
+  ASSERT_TRUE(recovered.SaveSnapshot(snap).ok());
+  {
+    StreamEngine restored(plain);
+    ASSERT_TRUE(restored.LoadSnapshot(snap).ok());
+    ASSERT_EQ(restored.num_streams(), kStreams);
+    for (int s = 0; s < kTrained; ++s) {
+      ExpectTrainersBitIdentical(&reference.trainer(s), &restored.trainer(s),
+                                 domains[s][0].test.x,
+                                 "saved stream " + std::to_string(s));
+    }
+  }
+
+  // A domain pushed to a cold tenant faults it back from its range and
+  // trains exactly as the engine that never restarted.
+  ASSERT_TRUE(reference.PushDomain(0, domains[0][1]).ok());
+  reference.Drain();
+  ASSERT_TRUE(recovered.PushDomain(0, domains[0][1]).ok());
+  recovered.Drain();
+  ASSERT_EQ(recovered.results(0).size(), 1u);
+  EXPECT_TRUE(recovered.results(0)[0].status.ok())
+      << recovered.results(0)[0].status.ToString();
+  EXPECT_EQ(recovered.storage_stats().fault_backs, 1);
+  EXPECT_EQ(recovered.effect_snapshot(0)->fingerprint,
+            reference.effect_snapshot(0)->fingerprint);
+  ASSERT_TRUE(recovered.EnsureResident(0).ok());
+  ExpectTrainersBitIdentical(&reference.trainer(0), &recovered.trainer(0),
+                             domains[0][1].test.x, "pushed stream 0");
 }
 
 // EnsureResident on a resident stream is a cheap no-op; on an unknown id a

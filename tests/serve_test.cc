@@ -1,13 +1,18 @@
 // Tests for the effect-query serving plane (src/serve/ + the StreamEngine
 // read path): bit-identity of snapshot predictions with the publishing
 // trainer (directly, through a checkpoint round-trip, and under the forced
-// scalar kernel table), the zero-allocation steady state of the inference
+// scalar kernel table), snapshots decoded straight from a checkpoint blob
+// (bitwise equal to the built ones; the same rejections as a trainer
+// restore), the zero-allocation steady state of the inference
 // arena, snapshot publish/version semantics, quarantined-stream staleness,
 // and the per-stream query stats surface.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/cerl_trainer.h"
@@ -16,6 +21,7 @@
 #include "serve/batch_predictor.h"
 #include "serve/effect_snapshot.h"
 #include "stream/stream_engine.h"
+#include "util/binary_io.h"
 #include "util/fault_injection.h"
 #include "util/rng.h"
 
@@ -173,6 +179,221 @@ TEST(EffectSnapshotTest, BuildReturnsNullBeforeFirstStage)
 {
   CerlTrainer trainer(SmallConfig(7), kFeatures);
   EXPECT_EQ(BuildEffectSnapshot(trainer, 1), nullptr);
+}
+
+// --- DecodeEffectSnapshot: a snapshot straight from a CERLCKP2 blob -------
+
+// Doubles compared as bits (a decoded snapshot must not even flip a zero's
+// sign). A cosine layer's empty bias has no storage to compare.
+void ExpectSameBits(const double* a, const double* b, size_t n,
+                    const std::string& what) {
+  if (n == 0) return;
+  ASSERT_EQ(std::memcmp(a, b, n * sizeof(double)), 0) << what;
+}
+
+void ExpectLayersBitIdentical(const std::vector<DenseLayer>& a,
+                              const std::vector<DenseLayer>& b,
+                              const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (size_t i = 0; i < a.size(); ++i) {
+    const std::string tag = what + " layer " + std::to_string(i);
+    EXPECT_EQ(a[i].activation, b[i].activation) << tag;
+    EXPECT_EQ(a[i].cosine, b[i].cosine) << tag;
+    ASSERT_TRUE(a[i].weight.SameShape(b[i].weight)) << tag;
+    ExpectSameBits(a[i].weight.data(), b[i].weight.data(),
+                   static_cast<size_t>(a[i].weight.size()), tag + " weight");
+    ASSERT_EQ(a[i].bias.size(), b[i].bias.size()) << tag;
+    ExpectSameBits(a[i].bias.data(), b[i].bias.data(), a[i].bias.size(),
+                   tag + " bias");
+  }
+}
+
+void ExpectSnapshotsBitIdentical(const EffectSnapshot& a,
+                                 const EffectSnapshot& b) {
+  EXPECT_EQ(a.version, b.version);
+  EXPECT_EQ(a.stage, b.stage);
+  EXPECT_EQ(a.input_dim, b.input_dim);
+  EXPECT_EQ(a.rep_dim, b.rep_dim);
+  ExpectLayersBitIdentical(a.rep, b.rep, "rep");
+  ExpectLayersBitIdentical(a.head0, b.head0, "head0");
+  ExpectLayersBitIdentical(a.head1, b.head1, "head1");
+  ASSERT_EQ(a.x_mean.size(), b.x_mean.size());
+  ExpectSameBits(a.x_mean.data(), b.x_mean.data(), a.x_mean.size(), "x mean");
+  ASSERT_EQ(a.x_std.size(), b.x_std.size());
+  ExpectSameBits(a.x_std.data(), b.x_std.data(), a.x_std.size(), "x std");
+  ExpectSameBits(&a.y_mean, &b.y_mean, 1, "y mean");
+  ExpectSameBits(&a.y_scale, &b.y_scale, 1, "y scale");
+  EXPECT_EQ(a.fingerprint, b.fingerprint);
+}
+
+// CERLCKP2 offsets for kFeatures inputs: the 16-byte header and 41 bytes of
+// RNG state, the x-scaler mean and std (u32 length + doubles each), then
+// the y-scaler mean, std and fitted flag, then the parameter block (8-byte
+// magic, u64 count, then the first parameter's u32 name length and name).
+constexpr size_t kXMeanAt = 57 + 4;
+constexpr size_t kXStdAt = kXMeanAt + 8 * kFeatures + 4;
+constexpr size_t kYMeanAt = kXStdAt + 8 * kFeatures;
+constexpr size_t kYStdAt = kYMeanAt + 8;
+constexpr size_t kYFittedAt = kYStdAt + 8;
+constexpr size_t kFirstParamNameAt = kYFittedAt + 1 + 8 + 8 + 4;
+
+// Trains `trainer` on `stages` domains and returns its blob.
+std::string TrainedBlob(int stages, uint64_t seed, CerlTrainer* trainer) {
+  for (const DataSplit& split : MakeStream(seed, stages, 0.6)) {
+    trainer->ObserveDomain(split);
+  }
+  std::string blob;
+  const Status s = trainer->SerializeCheckpoint(&blob);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return blob;
+}
+
+// Re-finalizes a payload edited behind the checksum.
+std::string Refinalized(std::string blob_without_checksum) {
+  AppendChecksum(&blob_without_checksum);
+  return blob_without_checksum;
+}
+
+template <typename T>
+std::string WithPod(const std::string& blob, size_t at, T value) {
+  std::string payload = blob.substr(0, blob.size() - 8);
+  std::memcpy(payload.data() + at, &value, sizeof(value));
+  return Refinalized(payload);
+}
+
+// The decoded snapshot equals BuildEffectSnapshot of the live trainer and
+// of the trainer the blob restores into, bit for bit, for cosine and plain
+// representations after one and three stages.
+TEST(DecodeEffectSnapshotTest, EqualsBuildEffectSnapshotBitwise) {
+  for (bool cosine : {true, false}) {
+    for (int stages : {1, 3}) {
+      SCOPED_TRACE(testing::Message() << "cosine " << cosine << ", stages "
+                                      << stages);
+      CerlConfig config = SmallConfig(71 + stages);
+      config.net.cosine_normalized_rep = cosine;
+      CerlTrainer trainer(config, kFeatures);
+      const std::string blob = TrainedBlob(stages, 72, &trainer);
+      CerlTrainer restored(config, kFeatures);
+      ASSERT_TRUE(restored.DeserializeCheckpoint(blob).ok());
+
+      auto decoded = DecodeEffectSnapshot(blob, config.net, kFeatures, 9);
+      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+      ASSERT_NE(decoded.value(), nullptr);
+      EXPECT_EQ(decoded.value()->stage, stages);
+      EXPECT_EQ(decoded.value()->rep.back().cosine, cosine);
+      ExpectSnapshotsBitIdentical(*BuildEffectSnapshot(trainer, 9),
+                                  *decoded.value());
+      ExpectSnapshotsBitIdentical(*BuildEffectSnapshot(restored, 9),
+                                  *decoded.value());
+    }
+  }
+}
+
+// A blob whose outcome scaler is not fitted restores a trainer with the
+// default scaler, whatever mean and std the blob carries; the decoded
+// snapshot carries the same default.
+TEST(DecodeEffectSnapshotTest, UnfittedOutcomeScalerDecodesAsRestored) {
+  const CerlConfig config = SmallConfig(75);
+  CerlTrainer trainer(config, kFeatures);
+  const std::string fitted = TrainedBlob(1, 76, &trainer);
+  ASSERT_EQ(fitted[kYFittedAt], 1);
+  std::string unfitted = WithPod(fitted, kYFittedAt, uint8_t{0});
+  unfitted = WithPod(unfitted, kYMeanAt, 5.0);
+  unfitted = WithPod(unfitted, kYStdAt, 2.0);
+
+  CerlTrainer restored(config, kFeatures);
+  ASSERT_TRUE(restored.DeserializeCheckpoint(unfitted).ok());
+  auto decoded = DecodeEffectSnapshot(unfitted, config.net, kFeatures, 1);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const auto built = BuildEffectSnapshot(restored, 1);
+  EXPECT_EQ(built->y_mean, 0.0);
+  EXPECT_EQ(built->y_scale, 1.0);
+  ExpectSnapshotsBitIdentical(*built, *decoded.value());
+}
+
+// The decoder and DeserializeCheckpoint share one parser: every corruption
+// one rejects, the other rejects with the same Status, and a well-formed
+// blob of another architecture or input dimension is refused by both.
+TEST(DecodeEffectSnapshotTest, RejectsWhatDeserializeCheckpointRejects) {
+  const CerlConfig config = SmallConfig(77);
+  CerlTrainer trainer(config, kFeatures);
+  const std::string valid = TrainedBlob(3, 78, &trainer);
+  const int mem_rows = trainer.memory().size();
+  ASSERT_GT(mem_rows, 0);
+
+  auto expect_both_reject = [](const std::string& bytes,
+                               const CerlConfig& cfg, int input_dim,
+                               const std::string& what) {
+    CerlTrainer fresh(cfg, input_dim);
+    const Status restored = fresh.DeserializeCheckpoint(bytes);
+    const Status decoded =
+        DecodeEffectSnapshot(bytes, cfg.net, input_dim, 1).status();
+    ASSERT_FALSE(restored.ok()) << what;
+    EXPECT_EQ(decoded.code(), restored.code()) << what;
+    EXPECT_EQ(decoded.message(), restored.message()) << what;
+  };
+
+  for (size_t len = 0; len < valid.size(); ++len) {
+    expect_both_reject(valid.substr(0, len), config, kFeatures,
+                       "truncation at " + std::to_string(len));
+  }
+  for (size_t pos = 0; pos < valid.size(); ++pos) {
+    std::string flipped = valid;
+    flipped[pos] = static_cast<char>(flipped[pos] ^ 0x20);
+    expect_both_reject(flipped, config, kFeatures,
+                       "flip at " + std::to_string(pos));
+  }
+
+  // Structural corruptions behind a recomputed checksum.
+  const std::string payload = valid.substr(0, valid.size() - 8);
+  const size_t mem_at = payload.size() -
+                        (8 + static_cast<size_t>(mem_rows) *
+                                 (8 * config.net.rep_dim + 8 + 1) +
+                         4);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    std::string what;
+    std::string bytes;
+  };
+  std::vector<Case> cases = {
+      {"bad magic", Refinalized("X" + payload.substr(1))},
+      {"zero stages", WithPod(valid, 8, uint32_t{0})},
+      {"x-scaler length", WithPod(valid, 57, uint32_t{0x40000000})},
+      {"rng cached flag", WithPod(valid, 48, uint8_t{2})},
+      {"y fitted flag", WithPod(valid, kYFittedAt, uint8_t{2})},
+      {"parameter name", WithPod(valid, kFirstParamNameAt, 'R')},
+      {"parameter count", WithPod(valid, kYFittedAt + 1 + 8, uint64_t{99})},
+      {"memory rows", WithPod(valid, mem_at, uint32_t{0x7fffffff})},
+      {"memory cols", WithPod(valid, mem_at + 4, uint32_t{3})},
+      {"memory treatment",
+       WithPod(valid, payload.size() - 1, uint8_t{2})},
+      {"trailing bytes", Refinalized(payload + std::string(5, '\x11'))},
+      {"short payload", Refinalized(payload.substr(0, payload.size() - 9))},
+  };
+  for (double bad : {0.0, -1.0, nan, inf}) {
+    cases.push_back({"y std", WithPod(valid, kYStdAt, bad)});
+    cases.push_back({"x std", WithPod(valid, kXStdAt + 8 * 2, bad)});
+  }
+  for (double bad : {nan, inf, -inf}) {
+    cases.push_back({"y mean", WithPod(valid, kYMeanAt, bad)});
+    cases.push_back({"x mean", WithPod(valid, kXMeanAt + 8 * 5, bad)});
+  }
+  for (const Case& c : cases) {
+    expect_both_reject(c.bytes, config, kFeatures, c.what);
+  }
+
+  // Well-formed, but not this architecture / feature space.
+  expect_both_reject(valid, config, kFeatures + 1, "input dim");
+  CerlConfig wider = config;
+  wider.net.rep_dim += 2;
+  expect_both_reject(valid, wider, kFeatures, "rep dim");
+  CerlConfig plain = config;
+  plain.net.cosine_normalized_rep = false;
+  expect_both_reject(valid, plain, kFeatures, "plain rep");
+
+  // Sanity: the offsets above are live, the untouched blob decodes.
+  EXPECT_TRUE(DecodeEffectSnapshot(valid, config.net, kFeatures, 1).ok());
 }
 
 TEST(BatchPredictorTest, SteadyStateMakesNoArenaAllocations) {

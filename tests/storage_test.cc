@@ -1,12 +1,16 @@
 // Unit tests for the paged storage layer (src/storage/): DiskManager page
 // allocation / free list / superblock persistence, BufferPool pinning and
-// LRU eviction, and TenantStore blob chains with checksum verification.
+// LRU eviction, and TenantStore blob chains and adopted file ranges with
+// checksum verification.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -361,6 +365,119 @@ TEST(TenantStoreTest, CorruptedChainIsACleanIoError) {
   auto got = store.Get(1);
   EXPECT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kIoError);
+}
+
+// --- TenantStore adopted ranges --------------------------------------------
+
+// A file of `blobs`, each finalized with its own Checksum64 trailer, behind
+// a header no range covers; returns each blob's (offset, size).
+std::vector<std::pair<uint64_t, uint64_t>> WriteRangeFile(
+    const std::string& path, const std::vector<std::string>& blobs) {
+  std::string contents = "not-a-range-header";
+  std::vector<std::pair<uint64_t, uint64_t>> ranges;
+  for (std::string blob : blobs) {
+    AppendChecksum(&blob);
+    ranges.emplace_back(contents.size(), blob.size());
+    contents += blob;
+  }
+  EXPECT_TRUE(WriteFileAtomic(path, contents).ok());
+  return ranges;
+}
+
+TEST(TenantStoreTest, AdoptedRangesRoundTripUntilErasedOrReplaced) {
+  const std::string store_path = TempPath("ts_adopt.store");
+  auto opened = DiskManager::Open(store_path);
+  ASSERT_TRUE(opened.ok());
+  BufferPool pool(opened.value().get(), 8);
+  TenantStore store(&pool);
+
+  const std::string path = TempPath("ts_adopt.ranges");
+  const std::vector<std::string> blobs = {RandomBlob(21, 300),
+                                          RandomBlob(22, 3 * kPageSize + 5)};
+  const auto ranges = WriteRangeFile(path, blobs);
+  auto opened_file = ReadOnlyFile::Open(path);
+  ASSERT_TRUE(opened_file.ok()) << opened_file.status().ToString();
+  std::shared_ptr<const ReadOnlyFile> file = std::move(opened_file).value();
+  const std::weak_ptr<const ReadOnlyFile> watch = file;
+  // Adopting over a page chain frees the chain.
+  ASSERT_TRUE(store.Put(2, RandomBlob(23, 2 * kPageSize)).ok());
+  for (int key : {1, 2}) {
+    ASSERT_TRUE(store
+                    .Adopt(key, file, ranges[key - 1].first,
+                           ranges[key - 1].second)
+                    .ok());
+  }
+  file.reset();  // the store holds the only references now
+  EXPECT_GE(opened.value()->free_pages(), 2u);
+  EXPECT_EQ(store.num_blobs(), 2u);
+  EXPECT_EQ(store.stored_bytes(), ranges[0].second + ranges[1].second);
+
+  // Get returns each range whole, trailer included, as Put would.
+  for (int key : {1, 2}) {
+    auto got = store.Get(key);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    std::string expected = blobs[key - 1];
+    AppendChecksum(&expected);
+    EXPECT_EQ(got.value(), expected);
+  }
+  // The file renamed over the path leaves the adopted bytes readable.
+  ASSERT_TRUE(WriteFileAtomic(path, "replaced").ok());
+  ASSERT_TRUE(store.Get(1).ok());
+
+  // A replacing Put and an Erase each drop a range; the descriptor closes
+  // with the last one.
+  ASSERT_TRUE(store.Put(1, "fresh").ok());
+  EXPECT_EQ(store.Get(1).value(), "fresh");
+  EXPECT_FALSE(watch.expired());
+  ASSERT_TRUE(store.Erase(2).ok());
+  EXPECT_FALSE(store.Contains(2));
+  EXPECT_EQ(store.Get(2).status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(store.stored_bytes(), 5u);
+}
+
+TEST(TenantStoreTest, TruncatedOrCorruptedAdoptedRangeIsACleanIoError) {
+  const std::string store_path = TempPath("ts_adopt_bad.store");
+  auto opened = DiskManager::Open(store_path);
+  ASSERT_TRUE(opened.ok());
+  BufferPool pool(opened.value().get(), 8);
+  TenantStore store(&pool);
+
+  const std::string path = TempPath("ts_adopt_bad.ranges");
+  const auto ranges =
+      WriteRangeFile(path, {RandomBlob(31, 500), RandomBlob(32, 900)});
+  auto file = ReadOnlyFile::Open(path);
+  ASSERT_TRUE(file.ok());
+  for (int key : {1, 2}) {
+    ASSERT_TRUE(store
+                    .Adopt(key, file.value(), ranges[key - 1].first,
+                           ranges[key - 1].second)
+                    .ok());
+  }
+  // One flipped byte inside the first range (written in place, which no
+  // engine writer does): its trailer no longer matches.
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(static_cast<std::streamoff>(ranges[0].first + 17));
+    f.put('\x7f');
+  }
+  auto corrupted = store.Get(1);
+  EXPECT_EQ(corrupted.status().code(), StatusCode::kIoError);
+  // A truncated file cuts the second range short.
+  ASSERT_EQ(::truncate(path.c_str(),
+                       static_cast<off_t>(ranges[1].first + 100)),
+            0);
+  auto truncated = store.Get(2);
+  EXPECT_EQ(truncated.status().code(), StatusCode::kIoError);
+  // Both keys stay in the store; an Erase still drops them cleanly.
+  EXPECT_TRUE(store.Erase(1).ok());
+  EXPECT_TRUE(store.Erase(2).ok());
+  EXPECT_EQ(store.num_blobs(), 0u);
+}
+
+TEST(TenantStoreTest, ReadOnlyFileOpenOfAMissingFileIsAnIoError) {
+  auto missing = ReadOnlyFile::Open(TempPath("ts_missing.ranges"));
+  EXPECT_EQ(missing.status().code(), StatusCode::kIoError);
 }
 
 }  // namespace
